@@ -208,38 +208,43 @@ class BufferManager:
         result: dict[int, Page] = {}
         missing: list[int] = []
         in_flight: list[_Frame] = []
-        with self._mu:
-            for page_no in page_nos:
-                if page_no in result or page_no in missing:
-                    continue
-                frame = self._frames.get((file_id, page_no))
-                if frame is not None and frame.page is not None:
-                    self.stats.hits += 1
-                    frame.referenced = True
-                    result[page_no] = frame.page
-                elif frame is not None:
-                    in_flight.append(frame)
-                else:
-                    missing.append(page_no)
-            placeholders = {}
+        #: installed but not yet published: exactly what a failure abandons
+        placeholders: dict[int, _Frame] = {}
+        try:
+            with self._mu:
+                for page_no in page_nos:
+                    if page_no in result or page_no in missing:
+                        continue
+                    frame = self._frames.get((file_id, page_no))
+                    if frame is not None and frame.page is not None:
+                        self.stats.hits += 1
+                        frame.referenced = True
+                        result[page_no] = frame.page
+                    elif frame is not None:
+                        in_flight.append(frame)
+                    else:
+                        missing.append(page_no)
+                if missing:
+                    self.stats.misses += len(missing)
+                    for page_no in missing:
+                        placeholders[page_no] = self._install_placeholder(
+                            (file_id, page_no))
             if missing:
-                self.stats.misses += len(missing)
-                for page_no in missing:
-                    placeholders[page_no] = self._install_placeholder(
-                        (file_id, page_no))
-        if missing:
-            try:
                 lbas = [self.tablespace.lba_of(file_id, p) for p in missing]
                 raws = self.tablespace.read_pages(lbas)
-            except BaseException:
-                for page_no, placeholder in placeholders.items():
-                    self._abandon_placeholder((file_id, page_no), placeholder)
-                raise
-            for page_no, raw in zip(missing, raws):
-                page = Page.from_bytes(raw)
-                self._publish_placeholder((file_id, page_no),
-                                          placeholders[page_no], page, raw)
-                result[page_no] = page
+                for page_no, raw in zip(missing, raws):
+                    page = Page.from_bytes(raw)
+                    self._publish_placeholder((file_id, page_no),
+                                              placeholders.pop(page_no),
+                                              page, raw)
+                    result[page_no] = page
+        except BaseException:
+            # the pool mutex is released by now (the ``with`` exited), so
+            # a frame-exhausted install mid-batch or a bad page image
+            # mid-publish unwinds every placeholder still io-pinned
+            for page_no, placeholder in placeholders.items():
+                self._abandon_placeholder((file_id, page_no), placeholder)
+            raise
         for frame in in_flight:
             with frame.latch:
                 pass

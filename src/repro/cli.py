@@ -9,14 +9,10 @@ Commands:
   t3, a1..a6) with quick parameters;
 * ``snapshot`` — run a short workload and print the full system snapshot;
 * ``serve`` — expose a live database over TCP (see ``docs/SERVER.md``);
-* ``crash-sweep`` — fault-injection sweep: crash at every k-th device
-  write, recover, verify invariants (see ``docs/RECOVERY.md``);
-* ``chaos-sweep`` — network fault-injection sweep: break the connection
-  at every k-th frame, verify settlement (see ``docs/SERVER.md``);
-* ``replicate`` — replication chaos sweeps (``--mode``): leader-kill
-  failover, follower-kill resync on a cascading chain, backup-source
-  kill, slot eviction under lag; each verifies exactly-once survival
-  and snapshot isolation (see ``docs/REPLICATION.md``);
+* ``sweep`` — seeded fault sweeps: inject a scenario's fault (power
+  loss, broken wire, shard kill, leader kill, ...) at every k-th event of
+  a bank-transfer workload and verify exactly-once / SI invariants (see
+  ``docs/SWEEPS.md``);
 * ``cluster`` — VID-range sharded cluster: ``start`` a supervisor +
   router, ``status`` a running router, ``bench`` TPC-C through the
   router (see ``docs/CLUSTER.md``).
@@ -221,39 +217,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_crash_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments import crash_sweep
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.common.config import PageLayout
+    from repro.experiments.sweeps import SCENARIOS, sweep
 
-    engine = {"sias-v": "siasv", "si": "si", "both": "both"}[args.engine]
-    return crash_sweep.main(["--engine", engine,
-                             "--stride", str(args.stride),
-                             "--transfers", str(args.transfers),
-                             "--accounts", str(args.accounts),
-                             "--seed", str(args.seed)])
-
-
-def _cmd_chaos_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments import chaos_sweep
-
-    engine = {"sias-v": "siasv", "si": "si", "both": "both"}[args.engine]
-    return chaos_sweep.main(["--engine", engine,
-                             "--stride", str(args.stride),
-                             "--transfers", str(args.transfers),
-                             "--accounts", str(args.accounts),
-                             "--seed", str(args.seed)])
-
-
-def _cmd_replicate(args: argparse.Namespace) -> int:
-    from repro.experiments import failover
-
-    argv = ["--mode", args.mode, "--stride", str(args.stride)]
-    if args.transfers is not None:
-        argv += ["--transfers", str(args.transfers)]
-    if args.accounts is not None:
-        argv += ["--accounts", str(args.accounts)]
-    if args.seed is not None:
-        argv += ["--seed", str(args.seed)]
-    return failover.main(argv)
+    scenario = SCENARIOS.get(args.scenario)
+    if scenario is None:
+        print(f"unknown scenario {args.scenario!r}; choose from "
+              f"{', '.join(SCENARIOS)}", file=sys.stderr)
+        return 2
+    variants: list[dict] = [{}]
+    if scenario.engines:
+        kinds = {"siasv": [EngineKind.SIASV], "si": [EngineKind.SI],
+                 "both": [EngineKind.SIASV, EngineKind.SI]}
+        layout = PageLayout[(args.layout or "vector").upper()]
+        variants = [dict(engine=kind, layout=layout)
+                    for kind in kinds[args.engine or "both"]]
+    elif args.engine or args.layout:
+        print(f"scenario {scenario.name!r} runs on SIAS-V/vector only; "
+              f"--engine/--layout apply to "
+              f"{', '.join(s.name for s in SCENARIOS.values() if s.engines)}",
+              file=sys.stderr)
+        return 2
+    for params in variants:
+        print(sweep(scenario, stride=args.stride, seed=args.seed,
+                    at=args.at, **params).summary(), flush=True)
+    return 0
 
 
 def _cmd_si_check(args: argparse.Namespace) -> int:
@@ -442,49 +431,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run crash recovery before serving "
                             "(docs/RECOVERY.md)")
 
-    sweep = sub.add_parser("crash-sweep",
-                           help="crash at every k-th write, recover, "
-                                "verify (docs/RECOVERY.md)")
-    sweep.add_argument("--engine", choices=("sias-v", "si", "both"),
-                       default="both")
-    sweep.add_argument("--stride", type=int, default=10,
-                       help="crash at every stride-th device write")
-    sweep.add_argument("--transfers", type=int, default=120)
-    sweep.add_argument("--accounts", type=int, default=20)
-    sweep.add_argument("--seed", type=int, default=7)
-
-    chaos = sub.add_parser("chaos-sweep",
-                           help="break the connection at every k-th "
-                                "network frame, verify settlement "
-                                "(docs/SERVER.md)")
-    chaos.add_argument("--engine", choices=("sias-v", "si", "both"),
-                       default="both")
-    chaos.add_argument("--stride", type=int, default=1,
-                       help="fault at every stride-th network frame")
-    chaos.add_argument("--transfers", type=int, default=30)
-    chaos.add_argument("--accounts", type=int, default=8)
-    chaos.add_argument("--seed", type=int, default=11)
-
-    repl = sub.add_parser("replicate",
-                          help="replication chaos sweeps: leader-kill "
-                               "failover, self-healing resync on a "
-                               "cascading chain, slot eviction under "
-                               "lag (docs/REPLICATION.md)")
-    repl.add_argument("--mode",
-                      choices=("failover", "resync", "resync-source",
-                               "eviction"),
-                      default="failover",
-                      help="failover: kill the leader at every shipped "
-                           "frame; resync: kill the progressing "
-                           "follower at every frame and backup chunk; "
-                           "resync-source: kill the backup source "
-                           "mid-backup; eviction: bounded retention "
-                           "under a lagging follower")
-    repl.add_argument("--stride", type=int, default=1,
-                      help="kill at every stride-th eligible event")
-    repl.add_argument("--transfers", type=int, default=None)
-    repl.add_argument("--accounts", type=int, default=None)
-    repl.add_argument("--seed", type=int, default=None)
+    sweep = sub.add_parser("sweep",
+                           help="seeded fault sweep of one scenario "
+                                "(docs/SWEEPS.md)")
+    sweep.add_argument("scenario",
+                       help="crash chaos cluster-link cluster-crash "
+                            "cluster-canary failover resync resync-source "
+                            "eviction")
+    sweep.add_argument("--engine", choices=("siasv", "si", "both"),
+                       help="crash / chaos only: engine(s) under test "
+                            "(default both)")
+    sweep.add_argument("--layout", choices=("vector", "nsm"),
+                       help="crash / chaos only: SIAS-V append-page layout "
+                            "(default vector)")
+    sweep.add_argument("--stride", type=int, default=1,
+                       help="inject the fault at every stride-th event")
+    sweep.add_argument("--seed", type=int, default=None,
+                       help="workload seed (default: the scenario's own)")
+    sweep.add_argument("--at", type=int, default=None,
+                       help="run only the point at event K (replay)")
 
     sicheck = sub.add_parser("si-check",
                              help="replay a recorded history through the "
@@ -546,9 +511,7 @@ def main(argv: list[str] | None = None) -> int:
         "snapshot": _cmd_snapshot,
         "report": _cmd_report,
         "serve": _cmd_serve,
-        "crash-sweep": _cmd_crash_sweep,
-        "chaos-sweep": _cmd_chaos_sweep,
-        "replicate": _cmd_replicate,
+        "sweep": _cmd_sweep,
         "si-check": _cmd_si_check,
         "cluster": _cmd_cluster,
     }

@@ -218,17 +218,12 @@ class RemoteDatabase:
             self.pool.request(txn._conn, Command.COMMIT, txn.txid)
             txn.phase = TxnPhase.COMMITTED
         except AmbiguousResultError as exc:
+            # the ack was lost on this link, or a router relayed
+            # Status.AMBIGUOUS for a shard it lost mid-commit
             self.pool.stats.uncertain_commits += 1
             raise CommitUncertainError(
-                f"commit of txn {txn.txid} is uncertain (ack lost): {exc}",
+                f"commit of txn {txn.txid} is uncertain: {exc}",
                 txid=txn.txid) from exc
-        except CommitUncertainError as exc:
-            # relayed as Status.AMBIGUOUS by a router that lost its shard
-            # mid-commit: the fate is genuinely undecided downstream
-            self.pool.stats.uncertain_commits += 1
-            raise CommitUncertainError(
-                f"commit of txn {txn.txid} is uncertain (fate unresolved "
-                f"downstream): {exc}", txid=txn.txid) from exc
         except BaseException:
             # server-side commit failure (e.g. SSI abort) rolled it back
             txn.phase = TxnPhase.ABORTED

@@ -194,7 +194,7 @@ class ShardSupervisor:
         The server stops (a shard between transactions drains instantly —
         prepared 2PC transactions are session-free and never block the
         drain), then :func:`repro.db.recovery.crash` drops every volatile
-        structure, exactly as the crash-sweep harness does.  Durable state
+        structure, exactly as the crash fault sweep does.  Durable state
         (WAL, sealed pages) survives for :meth:`restart_shard`.
         """
         if self.config.mode != "thread":

@@ -24,8 +24,6 @@ from repro.experiments import (
     ablation_scan,
     ablation_threshold,
     blocktrace,
-    chaos_sweep,
-    crash_sweep,
     endurance,
     report,
     space,
@@ -55,8 +53,6 @@ __all__ = [
     "ablation_scan",
     "ablation_threshold",
     "blocktrace",
-    "chaos_sweep",
-    "crash_sweep",
     "build_database",
     "endurance",
     "format_table",

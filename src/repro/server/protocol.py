@@ -178,9 +178,11 @@ def raise_for_status(status: int, message: str) -> None:
     if status == Status.DEADLINE_EXCEEDED:
         raise DeadlineExceededError(message)
     if status == Status.AMBIGUOUS:
-        # the txid is embedded in the message only; callers that know it
-        # (RemoteDatabase.commit) re-wrap with the structured txid
-        raise CommitUncertainError(message, txid=-1)
+        # relayed from a node that lost *its* downstream link: the same
+        # error a direct caller would have seen.  Only COMMIT turns it
+        # into CommitUncertainError (RemoteDatabase.commit knows the
+        # txid); any other command just failed and its caller aborts.
+        raise AmbiguousResultError(message)
     if status == Status.FENCED:
         raise ReplicationError(message)
     raise RemoteError(message)

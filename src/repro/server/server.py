@@ -45,6 +45,7 @@ from repro.common.errors import (
 )
 from repro.db.catalog import IndexDef, IndexKind
 from repro.db.database import Database
+from repro.db.monitor import CommandStat, snapshot
 from repro.db.schema import ColType, Schema
 from repro.pages.layout import Tid
 from repro.server.dispatch import Dispatcher
@@ -414,12 +415,6 @@ class DatabaseServer:
 
     def command_stats(self) -> tuple:
         """Per-command counters in :mod:`repro.db.monitor` shape."""
-        # imported here, not at module top: repro.db.monitor reaches the
-        # experiments package (for rendering), which reaches back into the
-        # service layer via the chaos sweep — a top-level import would be
-        # circular
-        from repro.db.monitor import CommandStat
-
         out = []
         for name, counter in sorted(self.dispatch.stats.commands.items()):
             out.append(CommandStat(
@@ -858,8 +853,6 @@ class DatabaseServer:
         return await self._run(session, Command.MAINTENANCE, work)
 
     async def _cmd_snapshot(self, session: Session, args: tuple) -> dict:
-        from repro.db.monitor import snapshot
-
         _arity(args, 0)
         return await self._run(
             session, Command.SNAPSHOT,

@@ -7,7 +7,7 @@ torn writes (only a prefix of the page reaches the medium — the classic
 partial-page write that power loss leaves behind), failed writes (the
 device errors after persisting nothing or a torn prefix), and a
 deterministic :class:`CrashPoint` that "cuts the power" at exactly the
-k-th device write — the primitive the crash-sweep harness iterates over
+k-th device write — the primitive the crash fault sweep iterates over
 every write of a workload.
 
 The wrapper delegates everything to an inner device and perturbs results
@@ -34,7 +34,7 @@ class SimulatedCrash(StorageError):
 
     Raised by the device on the crash write and on every write after it
     (a dead machine accepts no more I/O) until :meth:`CrashPoint.disarm`
-    models the reboot.  The crash-sweep harness catches this, simulates
+    models the reboot.  The crash fault sweep catches this, simulates
     the crash at the database layer and runs recovery.
     """
 

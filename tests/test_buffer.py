@@ -141,6 +141,23 @@ class TestBufferManager:
         assert flash.stats.reads == 2
         assert pages[0] is pages[2] is pages[4]
 
+    def test_get_pages_batch_larger_than_pool_leaves_pool_usable(
+            self, tablespace):
+        """A batch that exhausts the frames mid-install must abandon the
+        placeholders it already installed: none may stay io-pinned with
+        its latch held, or the next fault on that page never returns."""
+        f = tablespace.create_file("f")
+        writer = BufferManager(tablespace, pool_pages=32)
+        _fill(writer, f, 20)
+        writer.flush_all()
+        small = BufferManager(tablespace, pool_pages=8)
+        with pytest.raises(NoFreeFrameError):
+            small.get_pages(f, list(range(20)))
+        assert small._frames == {}
+        assert small.get_page(f, 0).read(0).xmin == 0
+        assert [p.read(0).xmin for p in small.get_pages(f, [3, 4, 5])] \
+            == [3, 4, 5]
+
     def test_drop_discards_without_write(self, buffer, tablespace):
         f = tablespace.create_file("f")
         buffer.put_dirty(f, 0, _heap_page(0))

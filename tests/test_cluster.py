@@ -17,8 +17,9 @@ Covers the acceptance contract for the VID-range sharded cluster:
   2-shard cluster, cross-shard transfers going through real 2PC;
 * a multi-endpoint :class:`ConnectionPool` keeping one dead endpoint's
   breaker from opening the circuit for its healthy peer;
-* one shard-fault chaos point per fault mode as a smoke test (the full
-  sweep is ``repro.experiments.chaos_sweep --cluster``).
+* a router→shard link lost mid-LOOKUP relayed as a plain ambiguous
+  failure, never as an uncertain commit (the shard-fault sweeps
+  themselves run from ``tests/test_sweeps.py``).
 """
 
 from __future__ import annotations
@@ -509,21 +510,45 @@ class TestMultiEndpointPool:
             pool.close()
 
 
-# --- shard-fault chaos smoke --------------------------------------------------
+# --- relayed ambiguity --------------------------------------------------------
 
-class TestClusterChaosSmoke:
-    @pytest.mark.parametrize("fault_mode", ["link", "crash"])
-    def test_one_fault_point_holds_invariants(self, fault_mode):
-        from repro.experiments.chaos_sweep import (
-            ClusterChaosConfig,
-            run_cluster_one,
+class TestRelayedAmbiguity:
+    def test_lost_shard_link_on_lookup_is_not_an_uncertain_commit(
+            self, two_shards):
+        """A router that loses its shard link mid-LOOKUP relays
+        ``Status.AMBIGUOUS``.  Only COMMIT may turn that into
+        ``CommitUncertainError``; on any other command the caller just
+        sees the call fail and aborts — nothing to resolve, no txid -1
+        to poll ``TXN_STATUS`` for."""
+        from repro.common.errors import (
+            AmbiguousResultError,
+            CommitUncertainError,
         )
+        from repro.server.chaos import ChaosPlan, NetCrashPoint
 
-        cfg = ClusterChaosConfig(shards=2, fault_mode=fault_mode,
-                                 accounts=6, transfers=8, seed=3)
-        outcome = run_cluster_one(cfg, at_frame=9,
-                                  kind=NetFaultKind.RESET_AFTER)
-        assert outcome.tripped
-        assert outcome.confirmed + outcome.failed <= cfg.transfers
-        if fault_mode == "crash":
-            assert outcome.killed_shard == 9 % cfg.shards
+        point = NetCrashPoint(kind=NetFaultKind.RESET_AFTER)
+        point.disarm()
+        router = ClusterRouter(two_shards.addresses, RouterConfig(
+            port=0, idle_timeout_sec=30.0, drain_timeout_sec=2.0,
+            chaos=ChaosPlan(crash_point=point)))
+        host, port = router.start_in_background()
+        try:
+            with RemoteDatabase(host, port, pool_size=2) as remote:
+                _seed_shard_account(remote)
+                txn = remote.begin()
+                assert len(remote.lookup(txn, "accounts", "pk", 0)) == 1
+                # the very next router→shard frame dies after it was sent
+                point.at_event = point.events_seen + 1
+                point.arm()
+                with pytest.raises(AmbiguousResultError) as caught:
+                    remote.lookup(txn, "accounts", "pk", 0)
+                assert not isinstance(caught.value, CommitUncertainError)
+                assert point.tripped
+                assert remote.pool.stats.uncertain_commits == 0
+                remote.abort(txn)
+                # the cluster is still live for the next transaction
+                txn = remote.begin()
+                assert len(remote.lookup(txn, "accounts", "pk", 0)) == 1
+                remote.commit(txn)
+        finally:
+            router.stop_in_background()

@@ -61,6 +61,24 @@ class TestSnapshot:
         assert "accounts" in text
 
 
+class TestImportFootprint:
+    def test_embedded_import_loads_no_service_tier(self):
+        """``import repro`` (and its CLI parser) is the embedded engine:
+        the asyncio server, cluster router, replication tier and fault
+        sweeps load only when something asks for them."""
+        import subprocess
+        import sys
+
+        code = ("import sys, repro, repro.cli; repro.cli.build_parser(); "
+                "print([m for m in sys.modules if m.startswith(("
+                "'repro.server', 'repro.cluster', 'repro.replication', "
+                "'repro.client', 'repro.experiments.sweeps'))])")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={"PYTHONPATH": ":".join(sys.path)})
+        assert out.stdout.strip() == "[]"
+
+
 class TestCli:
     def test_parser_commands(self):
         parser = build_parser()
@@ -70,6 +88,10 @@ class TestCli:
         assert args.id == "t1"
         args = parser.parse_args(["snapshot", "--engine", "si"])
         assert args.engine == "si"
+        args = parser.parse_args(["sweep", "crash", "--stride", "25",
+                                  "--seed", "3", "--at", "26"])
+        assert (args.scenario, args.stride, args.seed, args.at) \
+            == ("crash", 25, 3, 26)
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -5,7 +5,7 @@ the :class:`WalFollower` directly as its source (it speaks the same
 ``subscribe``/``fetch`` surface as the wire's ``RemoteSource``), so
 these tests exercise the replication state machines without sockets.
 The wire path and the full failover story are covered end to end by
-``repro.experiments.failover`` (CI's replication-smoke job).
+the ``failover`` fault sweep (``tests/test_sweeps.py``, CI's sweeps job).
 """
 
 from __future__ import annotations

@@ -1,32 +1,19 @@
-"""Crash-sweep harness tests: recovery invariants at injected crash points.
+"""The ``crash`` sweep scenario: recovery invariants at injected crash points.
 
 The full sweep (every write of a long workload) runs from the CLI / CI
-smoke job; these tests run reduced sweeps plus targeted single-point
-scenarios, including a torn append-page seal.
+(``repro sweep crash``); these tests run reduced sweeps plus targeted
+single-point scenarios, including a torn append-page seal.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.common import units
-from repro.common.config import (
-    BufferConfig,
-    EngineConfig,
-    FlashConfig,
-    PageLayout,
-    SystemConfig,
-)
-from repro.db.catalog import IndexDef
+from repro.common.config import PageLayout
 from repro.db.database import Database, EngineKind
 from repro.db.recovery import crash, recover
-from repro.experiments.crash_sweep import (
-    SweepConfig,
-    count_writes,
-    run_one,
-    run_sweep,
-)
-from tests.conftest import ACCOUNTS
+from repro.experiments.sweeps import SCENARIOS, run_point, sweep
+from repro.experiments.sweeps.harness import accounts_db
 
 SMALL = dict(accounts=6, transfers=12)
 
@@ -37,29 +24,25 @@ LAYOUTS = pytest.mark.parametrize(
 
 def make_layout_db(layout: PageLayout) -> Database:
     """A SIAS-V accounts database with an explicit append-page layout."""
-    config = SystemConfig(
-        flash=FlashConfig(capacity_bytes=64 * units.MIB),
-        buffer=BufferConfig(pool_pages=128),
-        engine=EngineConfig(layout=layout),
-        extent_pages=16,
-    )
-    db = Database.on_flash(EngineKind.SIASV, config)
-    db.create_table("accounts", ACCOUNTS, indexes=[
-        IndexDef("pk", ("id",), unique=True),
-        IndexDef("by_owner", ("owner",)),
-    ])
-    return db
+    return accounts_db(EngineKind.SIASV, layout)
+
+
+CRASH = SCENARIOS["crash"]
+
+
+def count_writes(**params) -> int:
+    """Count mode: device writes of one fault-free run."""
+    return run_point(CRASH, None, **SMALL, **params).events
 
 
 class TestSweep:
     @LAYOUTS
     def test_siasv_sweep_holds_invariants(self, layout):
         """The full value oracle holds for both append-page layouts."""
-        cfg = SweepConfig(kind=EngineKind.SIASV, stride=5, layout=layout,
-                          **SMALL)
-        report = run_sweep(cfg)
-        assert report.points_tested >= 3
-        assert report.points_crashed == report.points_tested
+        report = sweep(CRASH, stride=5, engine=EngineKind.SIASV,
+                       layout=layout, **SMALL)
+        assert len(report.outcomes) >= 3
+        assert report.sum("tripped") == len(report.outcomes)
 
     def test_layouts_recover_identically_past_end(self):
         """Same workload run to completion under both layouts: identical
@@ -68,38 +51,34 @@ class TestSweep:
         counts — so the sweep's value oracle covers those per layout.)"""
         outcomes = {}
         for layout in (PageLayout.VECTOR, PageLayout.NSM):
-            cfg = SweepConfig(kind=EngineKind.SIASV, layout=layout, **SMALL)
-            outcome = run_one(cfg, count_writes(cfg) + 100, torn=False)
-            outcomes[layout] = (outcome.committed, outcome.recovered_rows)
+            outcome = run_point(CRASH, count_writes(layout=layout) + 100,
+                                layout=layout, **SMALL)
+            outcomes[layout] = (outcome.confirmed,
+                                outcome.facts["recovered_rows"])
         assert outcomes[PageLayout.VECTOR] == outcomes[PageLayout.NSM]
         assert outcomes[PageLayout.VECTOR] == (SMALL["transfers"],
                                                SMALL["accounts"])
 
     def test_si_sweep_holds_invariants(self):
-        cfg = SweepConfig(kind=EngineKind.SI, stride=5, **SMALL)
-        report = run_sweep(cfg)
-        assert report.points_tested >= 3
+        report = sweep(CRASH, stride=5, engine=EngineKind.SI, **SMALL)
+        assert len(report.outcomes) >= 3
 
     def test_count_mode_is_deterministic(self):
-        cfg = SweepConfig(kind=EngineKind.SIASV, **SMALL)
-        assert count_writes(cfg) == count_writes(cfg)
+        assert count_writes() == count_writes()
 
     def test_crash_past_end_recovers_complete_run(self):
         """A crash point beyond the run's writes: clean shutdown, full
         recovery of every transfer."""
-        cfg = SweepConfig(kind=EngineKind.SIASV, **SMALL)
-        total = count_writes(cfg)
-        outcome = run_one(cfg, total + 100, torn=False)
-        assert not outcome.crashed
-        assert outcome.committed == cfg.transfers
-        assert outcome.recovered_rows == cfg.accounts
+        outcome = run_point(CRASH, count_writes() + 100, **SMALL)
+        assert not outcome.tripped
+        assert outcome.confirmed == SMALL["transfers"]
+        assert outcome.facts["recovered_rows"] == SMALL["accounts"]
 
     def test_first_write_crash_recovers_empty(self):
-        cfg = SweepConfig(kind=EngineKind.SIASV, **SMALL)
-        outcome = run_one(cfg, 1, torn=False)
-        assert outcome.crashed
-        assert outcome.committed == 0
-        assert outcome.recovered_rows == 0
+        outcome = run_point(CRASH, 1, **SMALL)
+        assert outcome.tripped
+        assert outcome.confirmed == 0
+        assert outcome.facts["recovered_rows"] == 0
 
 
 class TestTornSealRecovery:
