@@ -12,7 +12,8 @@ and ``DEADLINE_EXCEEDED`` responses are shed *before* execution, so they
 are always safe to retry with exponential backoff — even ``COMMIT``.
 Connect-time failures retry the same way (the server may still be
 booting).  A connection that dies *mid-request* is NOT retried unless the
-command is session-free and read-only (``_IDEMPOTENT``) — the server may
+command is retry-safe (session-free and read-only, per the command
+registry :data:`~repro.server.protocol.COMMANDS`) — the server may
 or may not have executed it — so it surfaces as
 :class:`~repro.common.errors.AmbiguousResultError` to the caller, whose
 transaction is orphaned and will be aborted server-side (or, for a commit
@@ -42,17 +43,7 @@ from repro.common.errors import (
     OverloadedError,
 )
 from repro.client.connection import ClientConnection
-from repro.server.protocol import Command
-
-# Session-free, read-only commands: re-executing one on a *fresh*
-# connection after an ambiguous failure cannot double-apply anything,
-# so ``call()`` retries them transparently.  Everything txn-scoped
-# stays ambiguous — the session that owned the txid died with the
-# connection, and only the caller knows what to do about it.
-_IDEMPOTENT = frozenset({
-    Command.PING, Command.TXN_STATUS, Command.STATS,
-    Command.SNAPSHOT, Command.CLOCK_NOW,
-})
+from repro.server.protocol import COMMANDS, Command
 
 
 @dataclass(frozen=True)
@@ -202,7 +193,7 @@ class PoolStats:
     #: commits whose ack was lost (resolved out-of-band via TXN_STATUS)
     uncertain_commits: int = 0
     #: idempotent commands re-run on a fresh connection after an
-    #: ambiguous failure (see ``_IDEMPOTENT``)
+    #: ambiguous failure (``CommandSpec.retry_safe``)
     ambiguous_retries: int = 0
 
 
@@ -425,8 +416,8 @@ class ConnectionPool:
 
         An :class:`AmbiguousResultError` (e.g. a pooled connection the
         server closed while draining) is retried on a *fresh* connection
-        — but only for the session-free read-only commands in
-        ``_IDEMPOTENT``; this is what lets ``resolve_commit`` poll
+        — but only for the registry's retry-safe (session-free,
+        read-only) commands; this is what lets ``resolve_commit`` poll
         ``TXN_STATUS`` right through the connection that just died.
         """
         for attempt in range(self.retry.max_attempts):
@@ -435,7 +426,7 @@ class ConnectionPool:
                 return self.request(conn, command, *args,
                                     deadline_ms=deadline_ms)
             except AmbiguousResultError:
-                if (command not in _IDEMPOTENT
+                if (not COMMANDS[command].retry_safe
                         or attempt == self.retry.max_attempts - 1):
                     raise
                 with self._lock:

@@ -42,21 +42,24 @@ down until the decision lands), so fan-out ``LOOKUP/SCAN/AGGREGATE/
 SCAN_VID_RANGE`` merges observe one atomic snapshot instead of one
 snapshot per shard.  The timestamp is cached and refreshed after a
 short interval or any global commit, so reads through one router also
-see that router's own acknowledged writes.  The pre-PR-8 behaviour —
-each shard snapshotting independently at first touch, which admits
-*fractured reads* across a concurrent global commit — is kept behind
-``RouterConfig.per_shard_snapshots`` for the anomaly reproducer; the
-black-box SI checker (``experiments/si_check.py``) flags it there and
-passes the default mode.  ``docs/CLUSTER.md`` ("Cluster-wide
-snapshots") has the full timestamp flow.
+see that router's own acknowledged writes.  Without it — each shard
+snapshotting independently at first touch — reads *fracture* across a
+concurrent global commit; that mode survives only as the test-only
+fault injection of the ``cluster-canary`` sweep scenario, which the
+black-box SI checker (``experiments/si_check.py``) must flag.
+``docs/CLUSTER.md`` ("Cluster-wide snapshots") has the full timestamp
+flow.
+
+The connection loop — sessions, operand validation against the command
+registry, deadlines, drain, idle reaping, lifecycle — is the
+:class:`~repro.server.server.WireService` the shard servers run too; the
+router supplies only its handlers, which run shard RPCs on an executor.
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import dataclasses
-import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -64,7 +67,6 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import (
     AmbiguousResultError,
-    CircuitOpenError,
     ProtocolError,
     RemoteError,
     TxnStateError,
@@ -72,22 +74,31 @@ from repro.common.errors import (
 from repro.client.pool import ConnectionPool, RetryPolicy
 from repro.cluster.coordinator import CoordinatorLog
 from repro.cluster.shardmap import DEFAULT_RANGE_SIZE, ShardMap
-from repro.server.protocol import (
+from repro.server.dispatch import DispatchStats
+# The frame codec names stay bound here as well as in repro.server.server
+# (whose WireService moves every router frame): benchmarks/e2e/tracing.py
+# rebinds both modules' names.
+from repro.server.protocol import (  # noqa: F401
     Command,
+    CommandSpec,
     Status,
     decode_request,
     encode_response,
-    error_payload,
-    frame_length,
-    status_for_exception,
 )
-from repro.server.session import Session, SessionManager
+from repro.server.server import WireService
+from repro.server.session import Session
 
-#: Commands a draining router still serves (mirrors the server's list).
-_DRAIN_ALLOWED = frozenset({
-    Command.PING, Command.COMMIT, Command.ABORT, Command.TXN_STATUS,
-    Command.STATS, Command.SHUTDOWN, Command.CLOSED_TS,
-})
+#: worker threads running blocking shard RPCs; each in-flight client
+#: command occupies one for its whole fan-out
+EXECUTOR_WORKERS = 8
+#: idle connections kept warm per shard
+POOL_SIZE = 4
+CONNECT_TIMEOUT_SEC = 5.0
+REQUEST_TIMEOUT_SEC = 30.0
+#: bounded retries when pushing a logged 2PC decision to a shard;
+#: exhausting them leaves the decision pending for resolve_in_doubt
+DECISION_RETRY_ATTEMPTS = 50
+DECISION_RETRY_DELAY_SEC = 0.02
 
 
 @dataclass(frozen=True)
@@ -100,22 +111,10 @@ class RouterConfig:
     idle_timeout_sec: float = 60.0
     reaper_interval_sec: float = 1.0
     drain_timeout_sec: float = 5.0
-    #: worker threads running blocking shard RPCs; each in-flight client
-    #: command occupies one for its whole fan-out
-    executor_workers: int = 8
-    pool_size: int = 4
-    connect_timeout_sec: float = 5.0
-    request_timeout_sec: float = 30.0
     #: retry schedule toward the shards (None: pool default)
     retry: RetryPolicy | None = None
-    #: bounded retries when pushing a logged 2PC decision to a shard;
-    #: exhausting them leaves the decision pending for resolve_in_doubt
-    decision_retry_attempts: int = 50
-    decision_retry_delay_sec: float = 0.02
     #: how long an ambiguous COMMIT/PREPARE polls the shard's TXN_STATUS
     resolve_timeout_sec: float = 5.0
-    #: re-push pending decisions / presume-abort orphans during start()
-    resolve_on_start: bool = True
     #: client-side chaos toward the shards: a single plan for all, or a
     #: ``{shard_index: plan}`` dict (the shard-fault sweep's link faults)
     chaos: object | None = None
@@ -126,18 +125,9 @@ class RouterConfig:
     #: commit through this router invalidates it immediately, so the
     #: interval only bounds staleness against *other* writers
     snapshot_refresh_sec: float = 0.05
-    #: legacy pre-PR-8 behaviour: every shard snapshots independently at
-    #: first touch.  Admits fractured reads across a concurrent global
-    #: commit — kept only so the anomaly stays reproducible (the SI
-    #: checker must flag it; see docs/CLUSTER.md "Cluster-wide snapshots")
-    per_shard_snapshots: bool = False
 
     def validate(self) -> None:
         """Raise on inconsistent settings."""
-        if self.executor_workers < 1:
-            raise ValueError("executor_workers must be >= 1")
-        if self.decision_retry_attempts < 1:
-            raise ValueError("decision_retry_attempts must be >= 1")
         if self.drain_timeout_sec < 0:
             raise ValueError("drain_timeout_sec must be >= 0")
         if self.snapshot_refresh_sec < 0:
@@ -164,16 +154,14 @@ class GlobalTxn:
     engine phases, only fates.
     """
 
-    __slots__ = ("txid", "serializable", "phase", "shards", "read_ts")
+    __slots__ = ("txid", "phase", "shards", "read_ts")
 
-    def __init__(self, gtxid: int, serializable: bool,
-                 read_ts: int | None = None) -> None:
+    def __init__(self, gtxid: int, read_ts: int | None = None) -> None:
         self.txid = gtxid
-        self.serializable = serializable
         self.phase = "active"
         self.shards: dict[int, ShardTxn] = {}
         #: the cluster-wide read timestamp every lazy per-shard BEGIN is
-        #: pinned to; None in legacy per-shard-snapshot mode
+        #: pinned to (None: each shard snapshots at first touch)
         self.read_ts = read_ts
 
 
@@ -238,45 +226,35 @@ class RouterStats:
         return out
 
 
-class _CommandCounter:
-    __slots__ = ("calls", "ok", "errors", "total_wall", "max_wall")
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self.ok = 0
-        self.errors = 0
-        self.total_wall = 0.0
-        self.max_wall = 0.0
-
-
-class ClusterRouter:
+class ClusterRouter(WireService):
     """One listening socket, N shards, unmodified wire protocol."""
+
+    role = "router"
 
     def __init__(self, shards: list[tuple[str, int]],
                  config: RouterConfig | None = None,
                  coordinator_log: CoordinatorLog | None = None) -> None:
         if not shards:
             raise ValueError("at least one shard address required")
-        self.config = config or RouterConfig()
-        self.config.validate()
+        super().__init__(config or RouterConfig())
         self.shard_addrs = [(h, p) for h, p in shards]
         self.shard_map = ShardMap(len(shards),
                                   range_size=self.config.range_size)
         self.coordinator_log = coordinator_log or CoordinatorLog(
             self.config.coordinator_log_path)
         self.pool = ConnectionPool(
-            endpoints=self.shard_addrs, size=self.config.pool_size,
+            endpoints=self.shard_addrs, size=POOL_SIZE,
             retry=self.config.retry,
-            connect_timeout_sec=self.config.connect_timeout_sec,
-            request_timeout_sec=self.config.request_timeout_sec,
+            connect_timeout_sec=CONNECT_TIMEOUT_SEC,
+            request_timeout_sec=REQUEST_TIMEOUT_SEC,
             chaos=self.config.chaos)
-        self.sessions = SessionManager(self.config.idle_timeout_sec)
         self.stats = RouterStats()
-        self._commands: dict[str, _CommandCounter] = {}
+        #: every command a client sent, counted around its handler
+        self.counters = DispatchStats()
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.executor_workers,
-            thread_name_prefix="router")
-        self._executing = 0
+            max_workers=EXECUTOR_WORKERS, thread_name_prefix="router")
+        #: client commands currently holding an executor worker
+        self.executing = 0
         self._gtxid_mu = threading.Lock()
         # gtxids restart strictly above every durably known one so a fate
         # query for an old gtxid can never alias a new transaction
@@ -321,45 +299,6 @@ class ClusterRouter:
         #: the pinning reader finished would still be served a snapshot
         #: missing acked writes.
         self._commit_floor = 0
-        self.address: tuple[str, int] | None = None
-        self._server: asyncio.Server | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._draining = False
-        self._closing = False
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._reaper_task: asyncio.Task | None = None
-        self._writers: dict[int, asyncio.StreamWriter] = {}
-        self._handler_tasks: set[asyncio.Task] = set()
-        self._thread: threading.Thread | None = None
-        self._started_monotonic = 0.0
-        self._handlers = {
-            Command.PING: self._cmd_ping,
-            Command.BEGIN: self._cmd_begin,
-            Command.COMMIT: self._cmd_commit,
-            Command.ABORT: self._cmd_abort,
-            Command.CREATE_TABLE: self._cmd_create_table,
-            Command.INSERT: self._cmd_insert,
-            Command.BULK_INSERT: self._cmd_bulk_insert,
-            Command.READ: self._cmd_read,
-            Command.UPDATE: self._cmd_update,
-            Command.DELETE: self._cmd_delete,
-            Command.LOOKUP: self._cmd_lookup,
-            Command.RANGE_LOOKUP: self._cmd_range_lookup,
-            Command.SCAN: self._cmd_scan,
-            Command.SCAN_BATCH: self._cmd_scan_batch,
-            Command.AGGREGATE: self._cmd_aggregate,
-            Command.SCAN_VID_RANGE: self._cmd_scan_vid_range,
-            Command.TICK: self._cmd_tick,
-            Command.MAINTENANCE: self._cmd_maintenance,
-            Command.SNAPSHOT: self._cmd_snapshot,
-            Command.STATS: self._cmd_stats,
-            Command.CLOCK_NOW: self._cmd_clock_now,
-            Command.CLOCK_ADVANCE: self._cmd_clock_advance,
-            Command.CLOCK_ADVANCE_TO: self._cmd_clock_advance_to,
-            Command.TXN_STATUS: self._cmd_txn_status,
-            Command.CLOSED_TS: self._cmd_closed_ts,
-            Command.SHUTDOWN: self._cmd_shutdown,
-        }
 
     # -- gtxid allocation ----------------------------------------------------
 
@@ -374,278 +313,48 @@ class ClusterRouter:
             if gtxid >= self._next_gtxid:
                 self._next_gtxid = gtxid + 1
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- endpoint hooks (the loop itself is WireService) ---------------------
 
-    async def start(self) -> tuple[str, int]:
-        """Bind the socket (and settle any in-doubt 2PC state first)."""
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        self._started_monotonic = time.monotonic()
-        if self.config.resolve_on_start:
-            await self._loop.run_in_executor(self._executor,
-                                             self.resolve_in_doubt)
-        self._server = await asyncio.start_server(
-            self._handle, self.config.host, self.config.port)
-        sock = self._server.sockets[0].getsockname()
-        self.address = (sock[0], sock[1])
-        self._reaper_task = asyncio.create_task(self._reaper())
-        return self.address
+    async def _on_start(self) -> None:
+        """Settle any in-doubt 2PC state before accepting clients."""
+        await self._loop.run_in_executor(self._executor,
+                                         self.resolve_in_doubt)
 
-    def request_stop(self) -> None:
-        """Flip into drain (idempotent, safe from the loop thread)."""
-        self._draining = True
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    async def serve_until_stopped(self) -> None:
-        """Block until :meth:`request_stop`, then tear everything down."""
-        assert self._stop_event is not None, "start() first"
-        await self._stop_event.wait()
-        await self.stop()
-
-    async def stop(self) -> None:
-        """Drain in-flight global transactions, then close everything."""
-        if self._server is None:
-            return
-        self.request_stop()
-        await self._drain()
-        self._closing = True
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
-        if self._reaper_task is not None:
-            self._reaper_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._reaper_task
-            self._reaper_task = None
-        for writer in list(self._writers.values()):
-            writer.close()
-        if self._handler_tasks:
-            await asyncio.wait(self._handler_tasks, timeout=5.0)
+    def _on_stop(self) -> None:
         self._executor.shutdown(wait=True)
         self.pool.close()
 
-    async def _drain(self) -> None:
-        deadline = time.monotonic() + self.config.drain_timeout_sec
-        while time.monotonic() < deadline:
-            if self.sessions.in_flight_txns() == 0 and self._executing == 0:
-                return
-            await asyncio.sleep(0.02)
-        for session in list(self.sessions):
-            if session.txns:
-                self.sessions.stats.drain_aborts += len(session.txns)
-                writer = self._writers.pop(session.session_id, None)
-                if writer is not None:
-                    writer.close()
-                await self._abort_orphans(self.sessions.close(session))
+    def _banner(self) -> str:
+        host, port = self.address  # type: ignore[misc]
+        return (f"repro cluster router listening on {host}:{port} "
+                f"({len(self.shard_addrs)} shards)")
 
-    def run(self) -> int:
-        """Foreground serve loop (``repro cluster start``)."""
-        async def main() -> None:
-            await self.start()
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                with contextlib.suppress(NotImplementedError):
-                    loop.add_signal_handler(signum, self.request_stop)
-            host, port = self.address  # type: ignore[misc]
-            print(f"repro cluster router listening on {host}:{port} "
-                  f"({len(self.shard_addrs)} shards)", flush=True)
-            await self.serve_until_stopped()
-
-        asyncio.run(main())
-        return 0
-
-    def start_in_background(self) -> tuple[str, int]:
-        """Serve from a dedicated thread; returns the bound address."""
-        ready = threading.Event()
-        failure: list[BaseException] = []
-
-        def runner() -> None:
-            async def main() -> None:
-                await self.start()
-                ready.set()
-                await self.serve_until_stopped()
-            try:
-                asyncio.run(main())
-            except BaseException as exc:
-                failure.append(exc)
-            finally:
-                ready.set()
-
-        self._thread = threading.Thread(target=runner, name="repro-router",
-                                        daemon=True)
-        self._thread.start()
-        if not ready.wait(timeout=10.0):
-            raise TimeoutError("router did not start within 10s")
-        if failure:
-            raise failure[0]
-        assert self.address is not None
-        return self.address
-
-    def stop_in_background(self, timeout: float = 10.0) -> None:
-        """Stop a background router and join its thread."""
-        if self._thread is None:
-            return
-        if self._loop is not None and not self._loop.is_closed():
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self.request_stop)
-        self._thread.join(timeout)
-        self._thread = None
-
-    # -- connection handling (mirrors DatabaseServer) ------------------------
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handler_tasks.add(task)
-        if self._draining:
-            await self._refuse_connection(reader, writer)
-            if task is not None:
-                self._handler_tasks.discard(task)
-            return
-        peer = writer.get_extra_info("peername")
-        session = self.sessions.open(str(peer), time.monotonic())
-        self._writers[session.session_id] = writer
-        try:
-            await self._serve_connection(session, reader, writer)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._writers.pop(session.session_id, None)
-            await self._abort_orphans(self.sessions.close(session))
-            writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await writer.wait_closed()
-            if task is not None:
-                self._handler_tasks.discard(task)
-
-    async def _refuse_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self.sessions.stats.drain_refused += 1
-        request_id = 0
-        with contextlib.suppress(ConnectionError, ProtocolError,
-                                 asyncio.IncompleteReadError,
-                                 asyncio.TimeoutError):
-            payload = await asyncio.wait_for(self._read_frame(reader),
-                                             timeout=1.0)
-            if payload is not None:
-                request_id = decode_request(payload)[0]
-        with contextlib.suppress(ConnectionError, OSError):
-            writer.write(encode_response(request_id, Status.SHUTTING_DOWN,
-                                         "router is draining"))
-            await writer.drain()
-        writer.close()
-        with contextlib.suppress(ConnectionError, OSError):
-            await writer.wait_closed()
-
-    async def _serve_connection(self, session: Session,
-                                reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        while not self._closing:
-            payload = await self._read_frame(reader)
-            if payload is None:
-                return
-            now = time.monotonic()
-            try:
-                request_id, command, args, deadline_ms = (
-                    decode_request(payload))
-            except ProtocolError as exc:
-                writer.write(encode_response(0, Status.BAD_REQUEST,
-                                             error_payload(exc)))
-                await writer.drain()
-                return
-            session.deadline = (None if deadline_ms is None
-                                else now + deadline_ms / 1000.0)
-            session.begin_command(now)
-            try:
-                status, result = await self._execute(session, command, args)
-            finally:
-                session.end_command(time.monotonic())
-                session.deadline = None
-            writer.write(encode_response(request_id, status, result))
-            await writer.drain()
-            if command == Command.SHUTDOWN and status == Status.OK:
-                self.request_stop()
-                return
-            if self._draining and not session.txns:
-                return
-
-    @staticmethod
-    async def _read_frame(reader: asyncio.StreamReader) -> bytes | None:
-        try:
-            header = await reader.readexactly(4)
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None
-            raise
-        return await reader.readexactly(frame_length(header))
-
-    async def _execute(self, session: Session, command: int,
-                       args: tuple) -> tuple[Status, object]:
-        handler = self._handlers.get(command)
-        if handler is None:
-            return Status.BAD_REQUEST, f"unknown command {command}"
-        if (session.deadline is not None
-                and time.monotonic() >= session.deadline):
-            return (Status.DEADLINE_EXCEEDED,
-                    f"{Command(command).name}: deadline passed on arrival")
-        if self._draining and command not in _DRAIN_ALLOWED:
-            owned = (args and isinstance(args[0], int)
-                     and not isinstance(args[0], bool)
-                     and args[0] in session.txns)
-            if not owned:
-                return Status.SHUTTING_DOWN, "router is draining"
-        name = Command(command).name
-        counter = self._commands.setdefault(name, _CommandCounter())
-        counter.calls += 1
+    async def _call(self, spec: CommandSpec, handler, session: Session,
+                    args: tuple) -> tuple[Status, object]:
+        counter = self.counters.of(spec.name)
         started = time.monotonic()
-        try:
-            result = await handler(session, args)
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            counter.errors += 1
-            return status_for_exception(exc), error_payload(exc)
-        else:
+        status, result = await super()._call(spec, handler, session, args)
+        counter.observe(time.monotonic() - started)
+        if status == Status.OK:
             counter.ok += 1
-            return Status.OK, result
-        finally:
-            wall = time.monotonic() - started
-            counter.total_wall += wall
-            counter.max_wall = max(counter.max_wall, wall)
+        else:
+            counter.errors += 1
+        return status, result
 
     async def _run(self, fn):
         """Run a blocking shard-RPC job on the executor."""
         assert self._loop is not None
-        self._executing += 1
+        self.executing += 1
         try:
             return await self._loop.run_in_executor(self._executor, fn)
         finally:
-            self._executing -= 1
+            self.executing -= 1
 
-    async def _abort_orphans(self, orphans: list) -> None:
-        for gtxn in orphans:
-            if gtxn.phase != "active":
-                continue
-            with contextlib.suppress(Exception):
-                await self._run(lambda g=gtxn: self._abort_job(g))
-                self.sessions.stats.orphans_aborted += 1
-
-    async def _reaper(self) -> None:
-        interval = self.config.reaper_interval_sec
-        if self.config.idle_timeout_sec > 0:
-            interval = min(interval, self.config.idle_timeout_sec / 4)
-        interval = max(interval, 0.02)
-        while True:
-            await asyncio.sleep(interval)
-            now = time.monotonic()
-            for session in self.sessions.idle_sessions(now):
-                self.sessions.stats.idle_closed += 1
-                await self._abort_orphans(self.sessions.close(session))
-                writer = self._writers.pop(session.session_id, None)
-                if writer is not None:
-                    writer.close()
+    async def _abort_orphan(self, gtxn: GlobalTxn) -> bool:
+        if gtxn.phase != "active":
+            return False
+        await self._run(lambda: self._abort_job(gtxn))
+        return True
 
     # -- cluster-wide read timestamp -----------------------------------------
 
@@ -760,14 +469,12 @@ class ClusterRouter:
             conn = self.pool.acquire(endpoint=shard)
             try:
                 if gtxn.read_ts is None:
-                    ltxid = self.pool.request(conn, Command.BEGIN,
-                                              gtxn.serializable)
+                    ltxid = self.pool.request(conn, Command.BEGIN, False)
                 else:
                     # pin the local snapshot to the global read timestamp:
                     # every shard this transaction touches sees the same
                     # cluster-wide state, however late it is first touched
-                    ltxid = self.pool.request(conn, Command.BEGIN,
-                                              gtxn.serializable,
+                    ltxid = self.pool.request(conn, Command.BEGIN, False,
                                               gtxn.read_ts)
             except BaseException:
                 self.pool.release(conn)
@@ -787,11 +494,6 @@ class ClusterRouter:
         self._fates[gtxn.txid] = fate
         self._open.pop(gtxn.txid, None)
         self._release_conns(gtxn)
-
-    def _claim_gtxn(self, session: Session, txid: object) -> GlobalTxn:
-        if not isinstance(txid, int) or isinstance(txid, bool):
-            raise ProtocolError(f"expected txid, got {txid!r}")
-        return session.claim(txid)
 
     @staticmethod
     def _as_gvid(ref: object) -> int:
@@ -872,7 +574,7 @@ class ClusterRouter:
         :meth:`resolve_in_doubt` finishes the push later.
         """
         self.stats.decision_pushes += 1
-        for _attempt in range(self.config.decision_retry_attempts):
+        for _attempt in range(DECISION_RETRY_ATTEMPTS):
             try:
                 self.pool.call(command, ltxid, endpoint=shard)
                 return True
@@ -887,7 +589,7 @@ class ClusterRouter:
                 # not provably land.  Never let it propagate: past the
                 # logged decision the global fate is sealed, and a raised
                 # push would surface a bogus error for a committed txn.
-                time.sleep(self.config.decision_retry_delay_sec)
+                time.sleep(DECISION_RETRY_DELAY_SEC)
         self.stats.decision_push_failures += 1
         return False
 
@@ -1115,19 +817,6 @@ class ClusterRouter:
 
     # -- monitoring ----------------------------------------------------------
 
-    def command_stats(self) -> tuple:
-        """Per-command counters in :mod:`repro.db.monitor` shape."""
-        from repro.db.monitor import CommandStat
-
-        out = []
-        for name, c in sorted(self._commands.items()):
-            mean = c.total_wall / c.calls if c.calls else 0.0
-            out.append(CommandStat(
-                command=name, calls=c.calls, ok=c.ok, errors=c.errors,
-                shed=0, mean_wall_usec=round(mean * 1e6, 1),
-                max_wall_usec=round(c.max_wall * 1e6, 1)))
-        return tuple(out)
-
     def cluster_payload(self) -> dict:
         """The ``cluster`` section of STATS / SNAPSHOT responses."""
         with self._snap_mu:
@@ -1166,7 +855,6 @@ class ClusterRouter:
             "straddle_windows": straddles,
             "commit_floor": commit_floor,
             "in_doubt_1pc": len(self._in_doubt_1pc),
-            "per_shard_snapshots": self.config.per_shard_snapshots,
             "pending_decisions": len(
                 self.coordinator_log.pending_decisions()),
             "router": self.stats.as_dict(),
@@ -1178,7 +866,7 @@ class ClusterRouter:
         return {
             "uptime_sec": round(time.monotonic() - self._started_monotonic,
                                 3),
-            "in_flight": self._executing,
+            "in_flight": self.executing,
             "draining": self._draining,
             "sessions": {"live": self.sessions.count(),
                          "in_flight_txns": self.sessions.in_flight_txns(),
@@ -1191,29 +879,21 @@ class ClusterRouter:
             },
         }
 
-    # -- command handlers ----------------------------------------------------
+    # -- command handlers (operands already validated against COMMANDS) ------
 
-    async def _cmd_ping(self, _session: Session, args: tuple) -> str:
-        def work() -> str:
-            for shard in range(len(self.shard_addrs)):
-                self.pool.call(Command.PING, endpoint=shard)
-            return "pong"
-        return await self._run(work)
+    def _broadcast(self, command: Command, *args: object) -> list:
+        """One session-free command on every shard; results by shard."""
+        return [self.pool.call(command, *args, endpoint=shard)
+                for shard in range(len(self.shard_addrs))]
+
+    async def _cmd_ping(self, _session: Session, _args: tuple) -> str:
+        await self._run(lambda: self._broadcast(Command.PING))
+        return "pong"
 
     async def _cmd_begin(self, session: Session, args: tuple) -> int:
-        if len(args) == 1:
-            (serializable,) = args
-            at_ts = None
-        elif len(args) == 2:
-            serializable, at_ts = args
-            if at_ts is not None and (isinstance(at_ts, bool)
-                                      or not isinstance(at_ts, int)):
-                raise ProtocolError(f"expected at_ts, got {at_ts!r}")
-        else:
-            raise ProtocolError(
-                f"BEGIN expects 1 or 2 argument(s), got {len(args)}")
-        if serializable:
-            # Satellite: never silently downgrade SSI to SI.  Cross-shard
+        at_ts = args[1] if len(args) > 1 else None
+        if args[0]:
+            # Never silently downgrade SSI to SI.  Cross-shard
             # rw-antidependency tracking would need the shards to exchange
             # SIREAD locks; until that exists the honest answer is a typed
             # wire error the client sees immediately at BEGIN.
@@ -1223,12 +903,9 @@ class ClusterRouter:
                 "router cannot combine it; run serializable work against a "
                 "single shard/server, or use the default snapshot "
                 "isolation (cluster-wide consistent snapshot)")
-        if at_ts is None and not self.config.per_shard_snapshots:
-            at_ts = self._cached_snapshot_ts()
-            if at_ts is None:
-                at_ts = await self._run(self._refresh_snapshot_ts)
-        gtxn = GlobalTxn(self._allocate_gtxid(), bool(serializable),
-                         read_ts=at_ts)
+        if at_ts is None:
+            at_ts = await self._begin_ts()
+        gtxn = GlobalTxn(self._allocate_gtxid(), read_ts=at_ts)
         if at_ts is not None:
             self.stats.begins_at_ts += 1
         self._open[gtxn.txid] = gtxn
@@ -1236,9 +913,16 @@ class ClusterRouter:
         self.stats.gtxns_begun += 1
         return gtxn.txid
 
+    async def _begin_ts(self) -> int | None:
+        """The read timestamp a new global transaction is pinned to: the
+        cluster-wide snapshot, refreshed when the cached one is stale."""
+        at_ts = self._cached_snapshot_ts()
+        if at_ts is None:
+            at_ts = await self._run(self._refresh_snapshot_ts)
+        return at_ts
+
     async def _cmd_commit(self, session: Session, args: tuple) -> None:
-        (txid,) = args
-        gtxn = self._claim_gtxn(session, txid)
+        gtxn = session.claim(args[0])
         try:
             await self._run(lambda: self._commit_job(gtxn))
         finally:
@@ -1246,8 +930,7 @@ class ClusterRouter:
                 session.forget(gtxn.txid)
 
     async def _cmd_abort(self, session: Session, args: tuple) -> None:
-        (txid,) = args
-        gtxn = self._claim_gtxn(session, txid)
+        gtxn = session.claim(args[0])
         try:
             await self._run(lambda: self._abort_job(gtxn))
         finally:
@@ -1256,14 +939,11 @@ class ClusterRouter:
 
     async def _cmd_create_table(self, _session: Session,
                                 args: tuple) -> None:
-        def work() -> None:
-            for shard in range(len(self.shard_addrs)):
-                self.pool.call(Command.CREATE_TABLE, *args, endpoint=shard)
-        return await self._run(work)
+        await self._run(lambda: self._broadcast(Command.CREATE_TABLE, *args))
 
     async def _cmd_insert(self, session: Session, args: tuple) -> int:
         txid, table, row = args
-        gtxn = self._claim_gtxn(session, txid)
+        gtxn = session.claim(txid)
 
         def work() -> int:
             shard = self.shard_map.place()
@@ -1277,7 +957,7 @@ class ClusterRouter:
     async def _cmd_bulk_insert(self, session: Session,
                                args: tuple) -> tuple:
         txid, table, rows = args
-        gtxn = self._claim_gtxn(session, txid)
+        gtxn = session.claim(txid)
 
         def work() -> tuple:
             shard = self.shard_map.place()
@@ -1302,7 +982,7 @@ class ClusterRouter:
 
     async def _cmd_read(self, session: Session, args: tuple) -> object:
         txid, table, ref = args
-        gtxn = self._claim_gtxn(session, txid)
+        gtxn = session.claim(txid)
 
         def work() -> object:
             _shard, row = self._routed_call(gtxn, ref, Command.READ,
@@ -1312,7 +992,7 @@ class ClusterRouter:
 
     async def _cmd_update(self, session: Session, args: tuple) -> int:
         txid, table, ref, row = args
-        gtxn = self._claim_gtxn(session, txid)
+        gtxn = session.claim(txid)
 
         def work() -> int:
             shard, lref = self._routed_call(gtxn, ref, Command.UPDATE, row,
@@ -1323,7 +1003,7 @@ class ClusterRouter:
 
     async def _cmd_delete(self, session: Session, args: tuple) -> None:
         txid, table, ref = args
-        gtxn = self._claim_gtxn(session, txid)
+        gtxn = session.claim(txid)
 
         def work() -> None:
             shard, _none = self._routed_call(gtxn, ref, Command.DELETE,
@@ -1332,16 +1012,17 @@ class ClusterRouter:
         return await self._run(work)
 
     def _fanout_pairs(self, gtxn: GlobalTxn, command: Command,
-                      *args: object) -> tuple:
-        """Run a txn-scoped read on every shard; merge translated pairs.
+                      per_shard: list[tuple[int, tuple]]) -> tuple:
+        """Run a txn-scoped read on several shards; merge translated pairs.
 
-        Results are ``(ref, row)`` pairs on every shard; the merge
-        translates refs to global VIDs and sorts by them, so the merged
-        order is deterministic regardless of shard count.
+        ``per_shard`` lists ``(shard, operands after the txid)``.  Results
+        are ``(ref, row)`` pairs on every shard; the merge translates refs
+        to global VIDs and sorts by them, so the merged order is
+        deterministic regardless of shard count.
         """
         started = time.monotonic()
         merged: list[tuple] = []
-        for shard in range(len(self.shard_addrs)):
+        for shard, args in per_shard:
             st = self._shard_txn(gtxn, shard)
             pairs = self.pool.request(st.conn, command, st.ltxid, *args)
             merged.extend(self._translate_pairs(shard, pairs))
@@ -1349,30 +1030,29 @@ class ClusterRouter:
         self.stats.note_fanout(command.name, time.monotonic() - started)
         return tuple(merged)
 
-    async def _cmd_lookup(self, session: Session, args: tuple) -> tuple:
-        txid, table, index, key = args
-        gtxn = self._claim_gtxn(session, txid)
+    async def _read_everywhere(self, session: Session, command: Command,
+                               args: tuple) -> tuple:
+        """A txn-scoped read with the same operands on every shard."""
+        gtxn = session.claim(args[0])
+        per_shard = [(shard, args[1:])
+                     for shard in range(len(self.shard_addrs))]
         return await self._run(
-            lambda: self._fanout_pairs(gtxn, Command.LOOKUP, table, index,
-                                       key))
+            lambda: self._fanout_pairs(gtxn, command, per_shard))
+
+    async def _cmd_lookup(self, session: Session, args: tuple) -> tuple:
+        return await self._read_everywhere(session, Command.LOOKUP, args)
 
     async def _cmd_range_lookup(self, session: Session,
                                 args: tuple) -> tuple:
-        txid, table, index, lo, hi = args
-        gtxn = self._claim_gtxn(session, txid)
-        return await self._run(
-            lambda: self._fanout_pairs(gtxn, Command.RANGE_LOOKUP, table,
-                                       index, lo, hi))
+        return await self._read_everywhere(session, Command.RANGE_LOOKUP,
+                                           args)
 
     async def _cmd_scan(self, session: Session, args: tuple) -> tuple:
-        txid, table = args
-        gtxn = self._claim_gtxn(session, txid)
-        return await self._run(
-            lambda: self._fanout_pairs(gtxn, Command.SCAN, table))
+        return await self._read_everywhere(session, Command.SCAN, args)
 
     async def _cmd_scan_batch(self, session: Session, args: tuple) -> tuple:
         txid, table, columns, where, after, limit = args
-        gtxn = self._claim_gtxn(session, txid)
+        gtxn = session.claim(txid)
 
         def work() -> tuple:
             # The wire cursor is opaque to clients (passed back verbatim),
@@ -1401,7 +1081,7 @@ class ClusterRouter:
     async def _cmd_aggregate(self, session: Session,
                              args: tuple) -> object:
         txid, table, op, column, where = args
-        gtxn = self._claim_gtxn(session, txid)
+        gtxn = session.claim(txid)
 
         def work() -> object:
             started = time.monotonic()
@@ -1430,30 +1110,17 @@ class ClusterRouter:
     async def _cmd_scan_vid_range(self, session: Session,
                                   args: tuple) -> tuple:
         txid, table, lo, hi = args
-        gtxn = self._claim_gtxn(session, txid)
+        gtxn = session.claim(txid)
+        per_shard = [(shard, (table, llo, lhi)) for shard, llo, lhi
+                     in self.shard_map.split_range(lo, hi)]
+        return await self._run(lambda: self._fanout_pairs(
+            gtxn, Command.SCAN_VID_RANGE, per_shard))
 
-        def work() -> tuple:
-            started = time.monotonic()
-            merged: list[tuple] = []
-            for shard, llo, lhi in self.shard_map.split_range(lo, hi):
-                st = self._shard_txn(gtxn, shard)
-                pairs = self.pool.request(st.conn, Command.SCAN_VID_RANGE,
-                                          st.ltxid, table, llo, lhi)
-                merged.extend(self._translate_pairs(shard, pairs))
-            merged.sort(key=lambda pair: pair[0])
-            self.stats.note_fanout(Command.SCAN_VID_RANGE.name,
-                                   time.monotonic() - started)
-            return tuple(merged)
-        return await self._run(work)
-
-    async def _cmd_tick(self, _session: Session, args: tuple) -> None:
-        def work() -> None:
-            for shard in range(len(self.shard_addrs)):
-                self.pool.call(Command.TICK, endpoint=shard)
-        return await self._run(work)
+    async def _cmd_tick(self, _session: Session, _args: tuple) -> None:
+        await self._run(lambda: self._broadcast(Command.TICK))
 
     async def _cmd_maintenance(self, _session: Session,
-                               args: tuple) -> dict:
+                               _args: tuple) -> dict:
         def work() -> dict:
             merged: dict[str, dict[str, int]] = {}
             for shard in range(len(self.shard_addrs)):
@@ -1465,7 +1132,7 @@ class ClusterRouter:
             return merged
         return await self._run(work)
 
-    async def _cmd_snapshot(self, _session: Session, args: tuple) -> dict:
+    async def _cmd_snapshot(self, _session: Session, _args: tuple) -> dict:
         def work() -> dict:
             merged: dict | None = None
             for shard in range(len(self.shard_addrs)):
@@ -1497,40 +1164,26 @@ class ClusterRouter:
             return merged
         return await self._run(work)
 
-    async def _cmd_stats(self, _session: Session, args: tuple) -> dict:
+    async def _cmd_stats(self, _session: Session, _args: tuple) -> dict:
         return await self._run(self.stats_payload)
 
-    async def _cmd_clock_now(self, _session: Session, args: tuple) -> int:
-        def work() -> int:
-            return max(self.pool.call(Command.CLOCK_NOW, endpoint=s)
-                       for s in range(len(self.shard_addrs)))
-        return await self._run(work)
+    async def _cmd_clock_now(self, _session: Session, _args: tuple) -> int:
+        return max(await self._run(
+            lambda: self._broadcast(Command.CLOCK_NOW)))
 
     async def _cmd_clock_advance(self, _session: Session,
                                  args: tuple) -> int:
-        (usec,) = args
-
-        def work() -> int:
-            return max(self.pool.call(Command.CLOCK_ADVANCE, usec,
-                                      endpoint=s)
-                       for s in range(len(self.shard_addrs)))
-        return await self._run(work)
+        return max(await self._run(
+            lambda: self._broadcast(Command.CLOCK_ADVANCE, *args)))
 
     async def _cmd_clock_advance_to(self, _session: Session,
                                     args: tuple) -> int:
-        (usec,) = args
-
-        def work() -> int:
-            return max(self.pool.call(Command.CLOCK_ADVANCE_TO, usec,
-                                      endpoint=s)
-                       for s in range(len(self.shard_addrs)))
-        return await self._run(work)
+        return max(await self._run(
+            lambda: self._broadcast(Command.CLOCK_ADVANCE_TO, *args)))
 
     async def _cmd_txn_status(self, _session: Session, args: tuple) -> str:
         """The fate of a *global* txid, with presumed-abort semantics."""
-        (gtxid,) = args
-        if not isinstance(gtxid, int) or isinstance(gtxid, bool):
-            raise ProtocolError(f"expected txid, got {gtxid!r}")
+        gtxid = args[0]
 
         def work() -> str:
             fate = self._fates.get(gtxid)
@@ -1560,13 +1213,8 @@ class ClusterRouter:
         timestamp domain with another's.
         """
         if args:
-            (target,) = args
-            if isinstance(target, bool) or not isinstance(target, int):
-                raise ProtocolError(f"expected timestamp, got {target!r}")
-
             def ratchet() -> int:
-                for shard in range(len(self.shard_addrs)):
-                    self.pool.call(Command.CLOSED_TS, target, endpoint=shard)
+                self._broadcast(Command.CLOSED_TS, *args)
                 self._invalidate_snapshot_ts()
                 return self._refresh_snapshot_ts()
             return await self._run(ratchet)
@@ -1574,6 +1222,3 @@ class ClusterRouter:
         if ts is None:
             ts = await self._run(self._refresh_snapshot_ts)
         return ts
-
-    async def _cmd_shutdown(self, _session: Session, args: tuple) -> None:
-        return None

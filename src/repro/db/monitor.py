@@ -168,7 +168,7 @@ class SystemSnapshot:
                 [key, self.cluster.get(key)]
                 for key in ("snapshot_ts", "commit_floor",
                             "straddle_windows", "in_doubt_1pc",
-                            "pending_decisions", "per_shard_snapshots")
+                            "pending_decisions")
                 if key in self.cluster]
             if snapshot_rows:
                 out += format_table(

@@ -499,8 +499,8 @@ def main(argv: list[str] | None = None) -> int:
                                         "docstring for the format)")
     parser.add_argument("--expect-anomaly", action="store_true",
                         help="invert the verdict: exit 0 only if the "
-                             "history DOES violate SI (for testing the "
-                             "legacy per-shard-snapshots mode)")
+                             "history DOES violate SI (for the "
+                             "fractured-read canary)")
     parser.add_argument("--max-violations", type=int, default=50,
                         help="stop after reporting this many")
     args = parser.parse_args(argv)

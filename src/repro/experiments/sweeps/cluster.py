@@ -22,9 +22,10 @@ a concurrent cross-shard reader races the transfers and every client
 operation is recorded: the SI checker proves each *mid-flight snapshot*
 was one consistent prefix of the commit order.
 
-``cluster-canary`` runs the router in its lazy per-shard-snapshot mode
-and inverts the verdict: the sweep fails unless the checker catches
-fractured reads — the reproducer and the checker keep each other honest.
+``cluster-canary`` runs :class:`FracturingRouter` — lazy per-shard
+snapshots, a fault injected into the router — and inverts the verdict:
+the sweep fails unless the checker catches fractured reads — the
+reproducer and the checker keep each other honest.
 """
 
 from __future__ import annotations
@@ -62,6 +63,16 @@ from repro.server.chaos import ChaosPlan
 SHARDS = 2
 #: cluster-crash recovers a whole shard inside this window
 SETTLE_SEC = 8.0
+
+
+class FracturingRouter(ClusterRouter):
+    """The fractured-read canary: a router with no cluster-wide read
+    timestamp.  Every shard snapshots independently when a transaction
+    first touches it, so a cross-shard reader racing a global commit can
+    see it half-applied — the anomaly the SI checker must flag."""
+
+    async def _begin_ts(self) -> None:
+        return None
 
 
 def _scanner(run: Run, address: tuple[str, int],
@@ -110,10 +121,10 @@ def _run(run: Run, kill_shard: bool) -> None:
         shards=SHARDS, idle_timeout_sec=30.0, drain_timeout_sec=2.0))
     run.cleanup.callback(sup.stop)
     sup.start()
-    router = ClusterRouter(sup.addresses, RouterConfig(
+    router_type = FracturingRouter if run.scenario.canary else ClusterRouter
+    router = router_type(sup.addresses, RouterConfig(
         port=0, idle_timeout_sec=30.0, drain_timeout_sec=2.0, retry=RETRY,
-        resolve_timeout_sec=SETTLE_SEC, chaos=ChaosPlan(crash_point=point),
-        per_shard_snapshots=run.scenario.canary))
+        resolve_timeout_sec=SETTLE_SEC, chaos=ChaosPlan(crash_point=point)))
     run.cleanup.callback(router.stop_in_background)
     address = router.start_in_background()
     over = threading.Event()

@@ -23,6 +23,7 @@ See ``docs/SERVER.md`` for the command-by-command argument layout.
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 from repro.common.errors import (
@@ -186,6 +187,215 @@ def raise_for_status(status: int, message: str) -> None:
     if status == Status.FENCED:
         raise ReplicationError(message)
     raise RemoteError(message)
+
+
+# ---------------------------------------------------------------------------
+# command registry: every per-command property, stated once
+# ---------------------------------------------------------------------------
+
+def as_any(value: object, _what: str = "value") -> object:
+    """An operand with no wire-level shape (the handler interprets it)."""
+    return value
+
+
+def as_int(value: object, what: str = "integer") -> int:
+    """An integer operand (``bool`` is not an integer on the wire)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ProtocolError(f"expected {what}, got {value!r}")
+    return value
+
+
+def as_opt_int(value: object, what: str = "integer") -> int | None:
+    """An integer operand that may be nil."""
+    return None if value is None else as_int(value, what)
+
+
+def as_str(value: object, what: str = "string") -> str:
+    """A string operand."""
+    if not isinstance(value, str):
+        raise ProtocolError(f"expected {what}, got {value!r}")
+    return value
+
+
+def as_opt_str(value: object, what: str = "string") -> str | None:
+    """A string operand that may be nil."""
+    return None if value is None else as_str(value, what)
+
+
+def as_row(value: object, what: str = "row tuple") -> tuple:
+    """One row: a tuple of column values."""
+    if not isinstance(value, tuple):
+        raise ProtocolError(f"expected {what}, got {value!r}")
+    return value
+
+
+def as_rows(value: object, what: str = "rows tuple") -> tuple:
+    """A tuple of rows."""
+    for row in as_row(value, what):
+        as_row(row)
+    return value  # type: ignore[return-value]
+
+
+def as_ref(value: object, what: str = "item handle") -> object:
+    """An item handle: a VID (int) or, for the SI baseline, a ``Tid``."""
+    if isinstance(value, bool) or not isinstance(value, (int, Tid)):
+        raise ProtocolError(f"expected {what}, got {value!r}")
+    return value
+
+
+def as_columns(value: object, what: str = "column names") -> tuple | None:
+    """A projection: nil (every column) or a tuple of column names."""
+    if value is not None:
+        for name in as_row(value, what):
+            as_str(name, "column")
+    return value  # type: ignore[return-value]
+
+
+def as_predicate(value: object, what: str = "predicate") -> tuple | None:
+    """A filter: nil or a ``(column, op, value)`` triple."""
+    if value is not None and (
+            not isinstance(value, tuple) or len(value) != 3
+            or not isinstance(value[0], str)
+            or not isinstance(value[1], str)):
+        raise ProtocolError(
+            f"expected (column, op, value) {what}, got {value!r}")
+    return value  # type: ignore[return-value]
+
+
+@dataclass(frozen=True)
+class CommandSpec:
+    """What the service layer needs to know about one command.
+
+    ``operands`` are ``(name, validator)`` pairs checked before any
+    handler runs; ``optional`` ones may trail them (older peers omit
+    them).  Every flag has a consumer:
+
+    * ``txn_scoped`` — the first operand is a txid the session owns, so
+      a draining endpoint still serves it ("finish what you started");
+    * ``exempt`` — bypasses admission control (``Dispatcher.run``):
+      finishing work, control plane and observability are never shed;
+    * ``exclusive`` — runs alone on the dispatcher's exclusive lane
+      (restructures state lock-free readers traverse unlatched);
+    * ``drain_ok`` — served while draining, whoever asks;
+    * ``leader_only`` — mutates data or the catalog: refused on any node
+      whose replication role is not leader;
+    * ``fenced_refused`` — could make older work durable: refused on a
+      fenced (deposed) leader as well;
+    * ``retry_safe`` — session-free and read-only, so the client pool
+      re-runs it on a fresh connection after an ambiguous failure.
+    """
+
+    command: Command
+    operands: tuple = ()
+    optional: tuple = ()
+    txn_scoped: bool = False
+    exempt: bool = False
+    exclusive: bool = False
+    drain_ok: bool = False
+    leader_only: bool = False
+    fenced_refused: bool = False
+    retry_safe: bool = False
+    #: derived: the command's name, its ``_cmd_<name>`` handler method,
+    #: and every operand (required first)
+    name: str = field(init=False)
+    handler: str = field(init=False)
+    signature: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        name = self.command.name
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "handler", f"_cmd_{name.lower()}")
+        object.__setattr__(self, "signature", self.operands + self.optional)
+
+    def check(self, args: tuple) -> None:
+        """Raise :class:`ProtocolError` unless ``args`` fit the operands."""
+        signature = self.signature
+        if not len(self.operands) <= len(args) <= len(signature):
+            expected = (f"{len(self.operands)} to {len(signature)}"
+                        if self.optional else len(signature))
+            raise ProtocolError(f"{self.name} expects {expected} "
+                                f"argument(s), got {len(args)}")
+        for i, value in enumerate(args):
+            what, validate = signature[i]
+            validate(value, what)
+
+
+_TXID = ("txid", as_int)
+_TABLE = ("table", as_str)
+_FOLLOWER = ("follower_id", as_str)
+_TXN = {"txn_scoped": True}
+#: never shed, and served while draining
+_FINISH = {"exempt": True, "drain_ok": True}
+
+#: The command table.  ``docs/SERVER.md`` renders it; a tier-1 test keeps
+#: the two in step.
+COMMANDS: dict[int, CommandSpec] = {spec.command: spec for spec in (
+    CommandSpec(Command.PING, retry_safe=True, **_FINISH),
+    CommandSpec(Command.BEGIN, (("serializable", as_any),),
+                optional=(("at_ts", as_opt_int),)),
+    CommandSpec(Command.COMMIT, (_TXID,), fenced_refused=True, **_TXN,
+                **_FINISH),
+    CommandSpec(Command.ABORT, (_TXID,), **_TXN, **_FINISH),
+    CommandSpec(Command.CREATE_TABLE, (("name", as_str),
+                                       ("columns", as_row),
+                                       ("indexes", as_row)),
+                exclusive=True, leader_only=True),
+    CommandSpec(Command.INSERT, (_TXID, _TABLE, ("row", as_row)),
+                leader_only=True, **_TXN),
+    CommandSpec(Command.BULK_INSERT, (_TXID, _TABLE, ("rows", as_rows)),
+                leader_only=True, **_TXN),
+    CommandSpec(Command.READ, (_TXID, _TABLE, ("ref", as_ref)), **_TXN),
+    CommandSpec(Command.UPDATE, (_TXID, _TABLE, ("ref", as_ref),
+                                 ("row", as_row)),
+                leader_only=True, **_TXN),
+    CommandSpec(Command.DELETE, (_TXID, _TABLE, ("ref", as_ref)),
+                leader_only=True, **_TXN),
+    CommandSpec(Command.LOOKUP, (_TXID, _TABLE, ("index", as_str),
+                                 ("key", as_any)), **_TXN),
+    CommandSpec(Command.RANGE_LOOKUP, (_TXID, _TABLE, ("index", as_str),
+                                       ("lo", as_any), ("hi", as_any)),
+                **_TXN),
+    CommandSpec(Command.SCAN, (_TXID, _TABLE), **_TXN),
+    CommandSpec(Command.SCAN_VID_RANGE, (_TXID, _TABLE, ("lo", as_int),
+                                         ("hi", as_int)), **_TXN),
+    CommandSpec(Command.TICK, exempt=True),
+    CommandSpec(Command.MAINTENANCE, exclusive=True),
+    CommandSpec(Command.SNAPSHOT, retry_safe=True),
+    CommandSpec(Command.STATS, retry_safe=True, **_FINISH),
+    CommandSpec(Command.CLOCK_NOW, exempt=True, retry_safe=True),
+    CommandSpec(Command.CLOCK_ADVANCE, (("usec", as_int),), exempt=True),
+    CommandSpec(Command.CLOCK_ADVANCE_TO, (("usec", as_int),), exempt=True),
+    CommandSpec(Command.TXN_STATUS, (_TXID,), retry_safe=True, **_FINISH),
+    # the cursor is opaque on the wire: each endpoint checks its own shape
+    CommandSpec(Command.SCAN_BATCH, (_TXID, _TABLE,
+                                     ("columns", as_columns),
+                                     ("where", as_predicate),
+                                     ("after", as_any), ("limit", as_int)),
+                **_TXN),
+    CommandSpec(Command.AGGREGATE, (_TXID, _TABLE, ("op", as_str),
+                                    ("column", as_opt_str),
+                                    ("where", as_predicate)), **_TXN),
+    CommandSpec(Command.PREPARE_TXN, (_TXID, ("gtxid", as_int)),
+                fenced_refused=True, **_TXN, **_FINISH),
+    CommandSpec(Command.COMMIT_PREPARED, (_TXID,), fenced_refused=True,
+                **_FINISH),
+    CommandSpec(Command.ABORT_PREPARED, (_TXID,), **_FINISH),
+    CommandSpec(Command.CLOSED_TS, optional=(("timestamp", as_int),),
+                **_FINISH),
+    CommandSpec(Command.WAL_SUBSCRIBE, (_FOLLOWER, ("start_seq", as_int)),
+                **_FINISH),
+    CommandSpec(Command.WAL_FETCH, (_FOLLOWER, ("epoch", as_int),
+                                    ("since_seq", as_int),
+                                    ("acked_seq", as_int),
+                                    ("limit", as_int)), **_FINISH),
+    CommandSpec(Command.WAL_UNSUBSCRIBE, (_FOLLOWER,), **_FINISH),
+    CommandSpec(Command.BACKUP_BEGIN, (_FOLLOWER,), **_FINISH),
+    CommandSpec(Command.BACKUP_FETCH, (("backup_id", as_str),
+                                       ("epoch", as_int),
+                                       ("chunk_index", as_int)), **_FINISH),
+    CommandSpec(Command.BACKUP_END, (("backup_id", as_str),), **_FINISH),
+    CommandSpec(Command.SHUTDOWN, **_FINISH),
+)}
 
 
 # ---------------------------------------------------------------------------

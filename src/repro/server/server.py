@@ -2,9 +2,17 @@
 
 One :class:`DatabaseServer` binds one database instance to a listening
 socket.  Each accepted connection gets a :class:`~repro.server.session.
-Session`; each request frame is decoded, admission-checked and executed on
-the engine executor by the :class:`~repro.server.dispatch.Dispatcher`; the
-response frame echoes the client's request id with a status code.
+Session`; each request frame is decoded, checked against the command
+registry (:data:`~repro.server.protocol.COMMANDS`), admission-checked and
+executed on the engine executor by the
+:class:`~repro.server.dispatch.Dispatcher`; the response frame echoes the
+client's request id with a status code.
+
+The connection loop itself — sessions, operand validation, deadlines,
+drain, idle reaping, foreground/background lifecycle — is
+:class:`WireService`, shared with the cluster router
+(:class:`repro.cluster.router.ClusterRouter`), which differs only in how a
+command runs.
 
 Lifecycle contracts:
 
@@ -17,15 +25,16 @@ Lifecycle contracts:
 * expired work never reaches the engine — a request carrying a deadline
   that has already passed (or that lapses while queued) is rejected with
   the retryable ``DEADLINE_EXCEEDED`` status;
-* ``SHUTDOWN`` (or SIGINT/SIGTERM under :meth:`DatabaseServer.run`) puts
+* ``SHUTDOWN`` (or SIGINT/SIGTERM under :meth:`WireService.run`) puts
   the server into **graceful drain**: new sessions are refused with
   ``SHUTTING_DOWN``, existing sessions may finish their in-flight
   transactions (and nothing else) until ``drain_timeout_sec``, stragglers
   are aborted (locks release), and only then do the sockets close.
 
-The server can run in the foreground (:meth:`run`, used by ``repro
-serve``) or on a background thread with its own event loop
-(:meth:`start_in_background`, used by tests and the networked example).
+The server can run in the foreground (:meth:`WireService.run`, used by
+``repro serve``) or on a background thread with its own event loop
+(:meth:`WireService.start_in_background`, used by tests and the networked
+example).
 """
 
 from __future__ import annotations
@@ -47,11 +56,14 @@ from repro.db.catalog import IndexDef, IndexKind
 from repro.db.database import Database
 from repro.db.monitor import CommandStat, snapshot
 from repro.db.schema import ColType, Schema
-from repro.pages.layout import Tid
-from repro.server.dispatch import Dispatcher
+from repro.server.dispatch import Dispatcher, DispatchStats
 from repro.server.protocol import (
+    COMMANDS,
     Command,
+    CommandSpec,
     Status,
+    as_int,
+    as_str,
     decode_request,
     encode_response,
     error_payload,
@@ -108,112 +120,37 @@ class ServerConfig:
             raise ValueError("drain_timeout_sec must be >= 0")
 
 
-#: Commands that bypass admission control: finishing work (commit/abort
-#: must never be shed once a txn is open), cheap control-plane traffic,
-#: and observability that must answer precisely when the server is busy.
-_EXEMPT = frozenset({
-    Command.PING, Command.COMMIT, Command.ABORT, Command.TICK,
-    Command.CLOCK_NOW, Command.CLOCK_ADVANCE, Command.CLOCK_ADVANCE_TO,
-    Command.STATS, Command.TXN_STATUS, Command.SHUTDOWN,
-    Command.PREPARE_TXN, Command.COMMIT_PREPARED, Command.ABORT_PREPARED,
-    Command.CLOSED_TS, Command.WAL_SUBSCRIBE, Command.WAL_FETCH,
-    Command.WAL_UNSUBSCRIBE, Command.BACKUP_BEGIN, Command.BACKUP_FETCH,
-    Command.BACKUP_END,
-})
+class WireService:
+    """One listening socket speaking the wire protocol, one session per
+    connection: the loop :class:`DatabaseServer` and the cluster router
+    share.
 
-#: Commands a *draining* server still serves unconditionally: finishing
-#: work, fate queries for ambiguous commits, liveness and observability.
-#: DML is additionally allowed when it references a transaction the
-#: session already has in flight (see :meth:`DatabaseServer._execute`) —
-#: the drain contract is "finish what you started, start nothing new".
-_DRAIN_ALLOWED = frozenset({
-    Command.PING, Command.COMMIT, Command.ABORT, Command.TXN_STATUS,
-    Command.STATS, Command.SHUTDOWN,
-    Command.PREPARE_TXN, Command.COMMIT_PREPARED, Command.ABORT_PREPARED,
-    Command.CLOSED_TS, Command.WAL_SUBSCRIBE, Command.WAL_FETCH,
-    Command.WAL_UNSUBSCRIBE, Command.BACKUP_BEGIN, Command.BACKUP_FETCH,
-    Command.BACKUP_END,
-})
+    Per request it decodes the frame, validates the operands against the
+    command registry, honours the caller's deadline, applies role-based
+    fencing and the drain rule, and calls the endpoint's
+    ``_cmd_<name>`` handler (a missing one is ``BAD_REQUEST``).  A
+    subclass sets :attr:`counters` and provides ``executing`` (commands
+    running now), :meth:`_abort_orphan` and :meth:`_on_stop`; it may
+    override :meth:`_on_start`, :meth:`_call`, :meth:`_end_session` and
+    :meth:`_banner`.
+    """
 
-#: Commands that mutate data or the catalog: a node whose replication
-#: role is not "leader" refuses these with the FENCED status.
-_WRITE_COMMANDS = frozenset({
-    Command.INSERT, Command.BULK_INSERT, Command.UPDATE, Command.DELETE,
-    Command.CREATE_TABLE,
-})
+    #: how the endpoint names itself in refusals, its thread and banner
+    role = "server"
+    #: per-command counters (:meth:`command_stats`) and arrival-deadline
+    #: rejections
+    counters: DispatchStats
+    #: the node's replication role holder (a leader hub or a follower),
+    #: None when standalone: a non-leader refuses the registry's
+    #: ``leader_only`` commands, a fenced leader ``fenced_refused`` ones
+    replication: object | None = None
 
-#: Commands that run on the dispatcher's exclusive lane: they restructure
-#: state (GC page reclaim, catalog growth) that lock-free read paths
-#: traverse without latches, so no other command may be in flight.
-_EXCLUSIVE = frozenset({Command.MAINTENANCE, Command.CREATE_TABLE})
-
-
-def _arity(args: tuple, n: int) -> tuple:
-    if len(args) != n:
-        raise ProtocolError(f"expected {n} argument(s), got {len(args)}")
-    return args
-
-
-def _as_int(value: object, what: str = "integer") -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ProtocolError(f"expected {what}, got {value!r}")
-    return value
-
-
-def _as_str(value: object, what: str = "string") -> str:
-    if not isinstance(value, str):
-        raise ProtocolError(f"expected {what}, got {value!r}")
-    return value
-
-
-def _as_row(value: object) -> tuple:
-    if not isinstance(value, tuple):
-        raise ProtocolError(f"expected row tuple, got {value!r}")
-    return value
-
-
-def _as_ref(value: object) -> object:
-    if isinstance(value, bool) or not isinstance(value, (int, Tid)):
-        raise ProtocolError(f"expected item handle, got {value!r}")
-    return value
-
-
-def _as_predicate(value: object) -> tuple | None:
-    if value is None:
-        return None
-    if (not isinstance(value, tuple) or len(value) != 3
-            or not isinstance(value[0], str)
-            or not isinstance(value[1], str)):
-        raise ProtocolError(
-            f"expected (column, op, value) predicate, got {value!r}")
-    return value
-
-
-class DatabaseServer:
-    """Serves one :class:`Database` over length-prefixed TCP frames."""
-
-    def __init__(self, db: Database, config: ServerConfig | None = None,
-                 replication: object | None = None) -> None:
-        self.db = db
-        #: a :class:`repro.replication.leader.ReplicationHub` or
-        #: :class:`repro.replication.follower.WalFollower` (or None for a
-        #: standalone node).  Drives role-based write fencing, replica
-        #: read pinning and the WAL_SUBSCRIBE/WAL_FETCH commands.
-        self.replication = replication
-        self.config = config or ServerConfig()
-        self.config.validate()
-        self.sessions = SessionManager(self.config.idle_timeout_sec)
-        self.dispatch = Dispatcher(self.config.max_in_flight,
-                                   self.config.max_queue_depth,
-                                   self.config.executor_workers or None)
-        # With several engine workers, writers contending for the same
-        # item wait (bounded) instead of aborting on first touch — the
-        # single-worker default (0.0: immediate first-updater-wins abort)
-        # stays untouched so embedded/one-worker behaviour is unchanged.
-        if (self.dispatch.executor_workers > 1
-                and db.txn_mgr.locks.wait_timeout_sec <= 0):
-            db.txn_mgr.locks.wait_timeout_sec = (
-                self.config.lock_wait_timeout_sec)
+    def __init__(self, config, response_chaos: object | None = None) -> None:
+        config.validate()
+        self.config = config
+        #: a :class:`repro.server.chaos.ChaosPlan` wrapping response writers
+        self.response_chaos = response_chaos
+        self.sessions = SessionManager(config.idle_timeout_sec)
         self.address: tuple[str, int] | None = None
         self._server: asyncio.Server | None = None
         self._stop_event: asyncio.Event | None = None
@@ -227,52 +164,6 @@ class DatabaseServer:
         self._handler_tasks: set[asyncio.Task] = set()
         self._thread: threading.Thread | None = None
         self._started_monotonic = 0.0
-        #: set when ``recover_on_start`` ran: what recovery found/redid
-        self.recovery_report = None
-        if self.config.recover_on_start:
-            from repro.db.recovery import crash, recover
-            # Re-derive every volatile structure from durable state, as a
-            # restart after power loss would: drop whatever in-memory
-            # state the handed-in Database object carries, then recover.
-            crash(db)
-            self.recovery_report = recover(db)
-        self._handlers = {
-            Command.PING: self._cmd_ping,
-            Command.BEGIN: self._cmd_begin,
-            Command.COMMIT: self._cmd_commit,
-            Command.ABORT: self._cmd_abort,
-            Command.CREATE_TABLE: self._cmd_create_table,
-            Command.INSERT: self._cmd_insert,
-            Command.BULK_INSERT: self._cmd_bulk_insert,
-            Command.READ: self._cmd_read,
-            Command.UPDATE: self._cmd_update,
-            Command.DELETE: self._cmd_delete,
-            Command.LOOKUP: self._cmd_lookup,
-            Command.RANGE_LOOKUP: self._cmd_range_lookup,
-            Command.SCAN: self._cmd_scan,
-            Command.SCAN_BATCH: self._cmd_scan_batch,
-            Command.AGGREGATE: self._cmd_aggregate,
-            Command.SCAN_VID_RANGE: self._cmd_scan_vid_range,
-            Command.TICK: self._cmd_tick,
-            Command.MAINTENANCE: self._cmd_maintenance,
-            Command.SNAPSHOT: self._cmd_snapshot,
-            Command.STATS: self._cmd_stats,
-            Command.CLOCK_NOW: self._cmd_clock_now,
-            Command.CLOCK_ADVANCE: self._cmd_clock_advance,
-            Command.CLOCK_ADVANCE_TO: self._cmd_clock_advance_to,
-            Command.TXN_STATUS: self._cmd_txn_status,
-            Command.PREPARE_TXN: self._cmd_prepare_txn,
-            Command.COMMIT_PREPARED: self._cmd_commit_prepared,
-            Command.ABORT_PREPARED: self._cmd_abort_prepared,
-            Command.CLOSED_TS: self._cmd_closed_ts,
-            Command.WAL_SUBSCRIBE: self._cmd_wal_subscribe,
-            Command.WAL_FETCH: self._cmd_wal_fetch,
-            Command.WAL_UNSUBSCRIBE: self._cmd_wal_unsubscribe,
-            Command.BACKUP_BEGIN: self._cmd_backup_begin,
-            Command.BACKUP_FETCH: self._cmd_backup_fetch,
-            Command.BACKUP_END: self._cmd_backup_end,
-            Command.SHUTDOWN: self._cmd_shutdown,
-        }
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -281,6 +172,7 @@ class DatabaseServer:
         self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
         self._started_monotonic = time.monotonic()
+        await self._on_start()
         self._server = await asyncio.start_server(
             self._handle, self.config.host, self.config.port)
         sock = self._server.sockets[0].getsockname()
@@ -288,10 +180,13 @@ class DatabaseServer:
         self._reaper_task = asyncio.create_task(self._reaper())
         return self.address
 
+    async def _on_start(self) -> None:
+        """Endpoint start-up work, before the socket binds."""
+
     def request_stop(self) -> None:
         """Ask the serve loop to wind down (safe from the loop thread).
 
-        Flips the server into the *draining* phase immediately: new
+        Flips the endpoint into the *draining* phase immediately: new
         sessions are refused, existing ones may only finish what they
         started.  The actual teardown happens in :meth:`stop`.
         """
@@ -330,7 +225,7 @@ class DatabaseServer:
         if self._handler_tasks:
             # handlers abort their orphaned transactions on the way out
             await asyncio.wait(self._handler_tasks, timeout=5.0)
-        self.dispatch.close()
+        self._on_stop()
 
     async def _drain(self) -> None:
         """Wait for in-flight transactions to finish; abort the rest.
@@ -342,8 +237,7 @@ class DatabaseServer:
         """
         deadline = time.monotonic() + self.config.drain_timeout_sec
         while time.monotonic() < deadline:
-            if (self.sessions.in_flight_txns() == 0
-                    and self.dispatch.executing == 0):
+            if self.sessions.in_flight_txns() == 0 and self.executing == 0:
                 return
             await asyncio.sleep(0.02)
         for session in list(self.sessions):
@@ -352,18 +246,22 @@ class DatabaseServer:
                 writer = self._writers.pop(session.session_id, None)
                 if writer is not None:
                     writer.close()
-                await self._abort_orphans(self.sessions.close(session))
+                await self._end_session(session)
+
+    def _banner(self) -> str:
+        host, port = self.address  # type: ignore[misc]
+        return f"repro {self.role} listening on {host}:{port}"
 
     def run(self) -> int:
-        """Foreground serve loop (``repro serve``); returns 0 on clean stop."""
+        """Foreground serve loop (``repro serve``, ``repro cluster
+        start``); returns 0 on clean stop."""
         async def main() -> None:
             await self.start()
             loop = asyncio.get_running_loop()
             for signum in (signal.SIGINT, signal.SIGTERM):
                 with contextlib.suppress(NotImplementedError):
                     loop.add_signal_handler(signum, self.request_stop)
-            host, port = self.address  # type: ignore[misc]
-            print(f"repro server listening on {host}:{port}", flush=True)
+            print(self._banner(), flush=True)
             await self.serve_until_stopped()
 
         asyncio.run(main())
@@ -391,18 +289,19 @@ class DatabaseServer:
             finally:
                 ready.set()
 
-        self._thread = threading.Thread(target=runner, name="repro-server",
+        self._thread = threading.Thread(target=runner,
+                                        name=f"repro-{self.role}",
                                         daemon=True)
         self._thread.start()
         if not ready.wait(timeout=10.0):
-            raise TimeoutError("server did not start within 10s")
+            raise TimeoutError(f"{self.role} did not start within 10s")
         if failure:
             raise failure[0]
         assert self.address is not None
         return self.address
 
     def stop_in_background(self, timeout: float = 10.0) -> None:
-        """Stop a :meth:`start_in_background` server and join its thread."""
+        """Stop a :meth:`start_in_background` endpoint, join its thread."""
         if self._thread is None:
             return
         if self._loop is not None and not self._loop.is_closed():
@@ -411,69 +310,14 @@ class DatabaseServer:
         self._thread.join(timeout)
         self._thread = None
 
-    # -- monitoring ----------------------------------------------------------
-
     def command_stats(self) -> tuple:
         """Per-command counters in :mod:`repro.db.monitor` shape."""
-        out = []
-        for name, counter in sorted(self.dispatch.stats.commands.items()):
-            out.append(CommandStat(
-                command=name, calls=counter.calls, ok=counter.ok,
-                errors=counter.errors, shed=counter.shed,
-                mean_wall_usec=round(counter.mean_wall_sec * 1e6, 1),
-                max_wall_usec=round(counter.max_wall_sec * 1e6, 1)))
-        return tuple(out)
-
-    def stats_payload(self) -> dict:
-        """The ``STATS`` command's response body."""
-        return {
-            "uptime_sec": round(time.monotonic() - self._started_monotonic,
-                                3),
-            "in_flight": self.dispatch.executing,
-            "queued": self.dispatch.queued,
-            "admitted": self.dispatch.stats.admitted,
-            "shed_total": self.dispatch.stats.shed_total,
-            "deadline_rejected": self.dispatch.stats.deadline_rejected,
-            "deadline_shed": self.dispatch.stats.deadline_shed,
-            "draining": self._draining,
-            "max_in_flight": self.config.max_in_flight,
-            "max_queue_depth": self.config.max_queue_depth,
-            "executor_workers": self.dispatch.executor_workers,
-            "exclusive_runs": self.dispatch.stats.exclusive_runs,
-            "sessions": {"live": self.sessions.count(),
-                         "in_flight_txns": self.sessions.in_flight_txns(),
-                         **self.sessions.stats.as_dict()},
-            "engine": self._engine_payload(),
-            "replication": (self.replication.status()
-                            if self.replication is not None else {}),
-            "commands": self.dispatch.stats.per_command(),
-        }
-
-    def _engine_payload(self) -> dict:
-        """Engine-core counters (txn + lock table) for ``STATS``.
-
-        Lets clients and the CI smoke assert engine invariants over the
-        wire — e.g. that the lock table drained after a workload.
-        """
-        commits, aborts, active = self.db.txn_mgr.counters()
-        locks = self.db.txn_mgr.locks
-        mgr = self.db.txn_mgr
-        return {
-            "txns": {"commits": commits, "aborts": aborts,
-                     "active": active,
-                     "prepares": mgr.prepares,
-                     "prepared_commits": mgr.prepared_commits,
-                     "prepared_aborts": mgr.prepared_aborts,
-                     "in_doubt": len(mgr.prepared),
-                     "in_doubt_txns": tuple(mgr.in_doubt()),
-                     "closed_ts": mgr.closed_ts(),
-                     "begin_at": mgr.begin_at},
-            "locks": {"held": locks.held_count(),
-                      "acquired": locks.stats.acquired,
-                      "conflicts": locks.stats.conflicts,
-                      "waits": locks.stats.waits,
-                      "wait_timeouts": locks.stats.wait_timeouts},
-        }
+        return tuple(
+            CommandStat(command=name, calls=c.calls, ok=c.ok,
+                        errors=c.errors, shed=c.shed,
+                        mean_wall_usec=round(c.mean_wall_sec * 1e6, 1),
+                        max_wall_usec=round(c.max_wall_sec * 1e6, 1))
+            for name, c in sorted(self.counters.commands.items()))
 
     # -- connection handling -------------------------------------------------
 
@@ -487,8 +331,8 @@ class DatabaseServer:
             if task is not None:
                 self._handler_tasks.discard(task)
             return
-        if self.config.chaos is not None:
-            writer = self.config.chaos.wrap_stream_writer(writer)
+        if self.response_chaos is not None:
+            writer = self.response_chaos.wrap_stream_writer(writer)
         peer = writer.get_extra_info("peername")
         session = self.sessions.open(str(peer), time.monotonic())
         self._writers[session.session_id] = writer
@@ -498,8 +342,7 @@ class DatabaseServer:
             pass  # peer vanished mid-frame: treated as a disconnect
         finally:
             self._writers.pop(session.session_id, None)
-            self._drop_follower_slots(session)
-            await self._abort_orphans(self.sessions.close(session))
+            await self._end_session(session)
             writer.close()
             with contextlib.suppress(ConnectionError, OSError):
                 await writer.wait_closed()
@@ -525,7 +368,7 @@ class DatabaseServer:
                 request_id = decode_request(payload)[0]
         with contextlib.suppress(ConnectionError, OSError):
             writer.write(encode_response(request_id, Status.SHUTTING_DOWN,
-                                         "server is draining"))
+                                         f"{self.role} is draining"))
             await writer.drain()
         writer.close()
         with contextlib.suppress(ConnectionError, OSError):
@@ -579,41 +422,42 @@ class DatabaseServer:
 
     async def _execute(self, session: Session, command: int,
                        args: tuple) -> tuple[Status, object]:
-        handler = self._handlers.get(command)
+        spec = COMMANDS.get(command)
+        handler = None if spec is None else getattr(self, spec.handler, None)
         if handler is None:
             return Status.BAD_REQUEST, f"unknown command {command}"
+        try:
+            spec.check(args)
+        except ProtocolError as exc:
+            return Status.BAD_REQUEST, error_payload(exc)
         if (session.deadline is not None
                 and time.monotonic() >= session.deadline):
             # Checked here — not only inside the dispatcher — so commands
             # that never reach a worker slot (PING, STATS) still honour
             # the caller's budget.
-            self.dispatch.stats.deadline_rejected += 1
+            self.counters.deadline_rejected += 1
             return (Status.DEADLINE_EXCEEDED,
-                    f"{Command(command).name}: deadline passed on arrival")
+                    f"{spec.name}: deadline passed on arrival")
         repl = self.replication
-        if repl is not None and repl.role != "leader":
+        if repl is not None and repl.role != "leader" and (
+                spec.leader_only
+                or (repl.role == "fenced" and spec.fenced_refused)):
             # role-based write fencing: a replica serves reads only; a
             # fenced (deposed) leader may not ack anything that could
             # make a write durable — not even a commit of older work
-            refused = command in _WRITE_COMMANDS or (
-                repl.role == "fenced"
-                and command in (Command.COMMIT, Command.PREPARE_TXN,
-                                Command.COMMIT_PREPARED))
-            if refused:
-                exc = ReplicationError(
-                    f"{Command(command).name} refused: node role is "
-                    f"{repl.role} (epoch {repl.epoch}), not leader")
-                return status_for_exception(exc), error_payload(exc)
-        if self._draining and command not in _DRAIN_ALLOWED:
-            # DML against a transaction this session already has in
-            # flight may still run — "finish what you started".  Every
-            # txn-scoped command carries the txid first; bool is excluded
-            # because BEGIN's first argument is a flag, not a txid.
-            owned = (args and isinstance(args[0], int)
-                     and not isinstance(args[0], bool)
-                     and args[0] in session.txns)
-            if not owned:
-                return Status.SHUTTING_DOWN, "server is draining"
+            return Status.FENCED, error_payload(ReplicationError(
+                f"{spec.name} refused: node role is {repl.role} "
+                f"(epoch {repl.epoch}), not leader"))
+        if (self._draining and not spec.drain_ok
+                and not (spec.txn_scoped and args[0] in session.txns)):
+            # a command against a transaction this session already has
+            # in flight may still run — "finish what you started"
+            return Status.SHUTTING_DOWN, f"{self.role} is draining"
+        return await self._call(spec, handler, session, args)
+
+    async def _call(self, spec: CommandSpec, handler, session: Session,
+                    args: tuple) -> tuple[Status, object]:
+        """Run an admitted command's handler; failures become statuses."""
         try:
             return Status.OK, await handler(session, args)
         except asyncio.CancelledError:
@@ -621,23 +465,15 @@ class DatabaseServer:
         except BaseException as exc:
             return status_for_exception(exc), error_payload(exc)
 
-    async def _run(self, session: Session, command: Command, fn) -> object:
-        return await self.dispatch.run(command.name, fn,
-                                       exempt=command in _EXEMPT,
-                                       exclusive=command in _EXCLUSIVE,
-                                       deadline=session.deadline)
+    async def _end_session(self, session: Session) -> None:
+        """Retire a session and abort its in-flight transactions."""
+        await self._abort_orphans(self.sessions.close(session))
 
-    async def _abort_orphans(self, orphans: list[Transaction]) -> None:
-        """Abort a closed session's in-flight transactions on the engine."""
+    async def _abort_orphans(self, orphans: list) -> None:
+        """Abort a closed session's in-flight transactions."""
         for txn in orphans:
-            def work(txn: Transaction = txn) -> bool:
-                if txn.phase is TxnPhase.ACTIVE:
-                    self.db.abort(txn)
-                    return True
-                return False
             with contextlib.suppress(Exception):
-                if await self.dispatch.run("ABORT_ORPHAN", work,
-                                           exempt=True):
+                if await self._abort_orphan(txn):
                     self.sessions.stats.orphans_aborted += 1
 
     async def _reaper(self) -> None:
@@ -651,16 +487,135 @@ class DatabaseServer:
             now = time.monotonic()
             for session in self.sessions.idle_sessions(now):
                 self.sessions.stats.idle_closed += 1
-                self._drop_follower_slots(session)
-                await self._abort_orphans(self.sessions.close(session))
+                await self._end_session(session)
                 writer = self._writers.pop(session.session_id, None)
                 if writer is not None:
                     writer.close()
 
-    # -- command handlers ----------------------------------------------------
+    async def _cmd_shutdown(self, _session: Session, _args: tuple) -> None:
+        return None
 
-    async def _cmd_ping(self, _session: Session, args: tuple) -> str:
-        _arity(args, 0)
+
+class DatabaseServer(WireService):
+    """Serves one :class:`Database` over length-prefixed TCP frames."""
+
+    def __init__(self, db: Database, config: ServerConfig | None = None,
+                 replication: object | None = None) -> None:
+        config = config or ServerConfig()
+        super().__init__(config, response_chaos=config.chaos)
+        self.db = db
+        #: a :class:`repro.replication.leader.ReplicationHub` or
+        #: :class:`repro.replication.follower.WalFollower` (or None for a
+        #: standalone node).  Drives role-based write fencing, replica
+        #: read pinning and the WAL_SUBSCRIBE/WAL_FETCH commands.
+        self.replication = replication
+        self.dispatch = Dispatcher(self.config.max_in_flight,
+                                   self.config.max_queue_depth,
+                                   self.config.executor_workers or None)
+        self.counters = self.dispatch.stats
+        # With several engine workers, writers contending for the same
+        # item wait (bounded) instead of aborting on first touch — the
+        # single-worker default (0.0: immediate first-updater-wins abort)
+        # stays untouched so embedded/one-worker behaviour is unchanged.
+        if (self.dispatch.executor_workers > 1
+                and db.txn_mgr.locks.wait_timeout_sec <= 0):
+            db.txn_mgr.locks.wait_timeout_sec = (
+                self.config.lock_wait_timeout_sec)
+        #: set when ``recover_on_start`` ran: what recovery found/redid
+        self.recovery_report = None
+        if self.config.recover_on_start:
+            from repro.db.recovery import crash, recover
+            # Re-derive every volatile structure from durable state, as a
+            # restart after power loss would: drop whatever in-memory
+            # state the handed-in Database object carries, then recover.
+            crash(db)
+            self.recovery_report = recover(db)
+
+    @property
+    def executing(self) -> int:
+        """Commands currently running on the engine executor."""
+        return self.dispatch.executing
+
+    def _on_stop(self) -> None:
+        self.dispatch.close()
+
+    # -- monitoring ----------------------------------------------------------
+
+    def stats_payload(self) -> dict:
+        """The ``STATS`` command's response body."""
+        return {
+            "uptime_sec": round(time.monotonic() - self._started_monotonic,
+                                3),
+            "in_flight": self.dispatch.executing,
+            "queued": self.dispatch.queued,
+            "admitted": self.dispatch.stats.admitted,
+            "shed_total": self.dispatch.stats.shed_total,
+            "deadline_rejected": self.dispatch.stats.deadline_rejected,
+            "deadline_shed": self.dispatch.stats.deadline_shed,
+            "draining": self._draining,
+            "max_in_flight": self.config.max_in_flight,
+            "max_queue_depth": self.config.max_queue_depth,
+            "executor_workers": self.dispatch.executor_workers,
+            "exclusive_runs": self.dispatch.stats.exclusive_runs,
+            "sessions": {"live": self.sessions.count(),
+                         "in_flight_txns": self.sessions.in_flight_txns(),
+                         **self.sessions.stats.as_dict()},
+            "engine": self._engine_payload(),
+            "replication": (self.replication.status()
+                            if self.replication is not None else {}),
+            "commands": self.dispatch.stats.per_command(),
+        }
+
+    def _engine_payload(self) -> dict:
+        """Engine-core counters (txn + lock table) for ``STATS``.
+
+        Lets clients and the CI smoke assert engine invariants over the
+        wire — e.g. that the lock table drained after a workload.
+        """
+        commits, aborts, active = self.db.txn_mgr.counters()
+        locks = self.db.txn_mgr.locks
+        mgr = self.db.txn_mgr
+        return {
+            "txns": {"commits": commits, "aborts": aborts,
+                     "active": active,
+                     "prepares": mgr.prepares,
+                     "prepared_commits": mgr.prepared_commits,
+                     "prepared_aborts": mgr.prepared_aborts,
+                     "in_doubt": len(mgr.prepared),
+                     "in_doubt_txns": tuple(mgr.in_doubt()),
+                     "closed_ts": mgr.closed_ts(),
+                     "begin_at": mgr.begin_at},
+            "locks": {"held": locks.held_count(),
+                      "acquired": locks.stats.acquired,
+                      "conflicts": locks.stats.conflicts,
+                      "waits": locks.stats.waits,
+                      "wait_timeouts": locks.stats.wait_timeouts},
+        }
+
+    # -- per-endpoint hooks --------------------------------------------------
+
+    async def _run(self, session: Session, command: Command, fn) -> object:
+        spec = COMMANDS[command]
+        return await self.dispatch.run(spec.name, fn, exempt=spec.exempt,
+                                       exclusive=spec.exclusive,
+                                       deadline=session.deadline)
+
+    async def _end_session(self, session: Session) -> None:
+        self._drop_follower_slots(session)
+        await super()._end_session(session)
+
+    async def _abort_orphan(self, txn: Transaction) -> bool:
+        """Abort one orphaned transaction on the engine."""
+        def work() -> bool:
+            if txn.phase is TxnPhase.ACTIVE:
+                self.db.abort(txn)
+                return True
+            return False
+        return await self.dispatch.run("ABORT_ORPHAN", work, exempt=True)
+
+    # -- command handlers (operands already validated against COMMANDS) ------
+
+    async def _cmd_ping(self, _session: Session, _args: tuple) -> str:
         return "pong"
 
     async def _cmd_begin(self, session: Session, args: tuple) -> int:
@@ -668,12 +623,8 @@ class DatabaseServer:
         original single-operand form ``(serializable,)`` keeps today's
         behaviour; a second operand pins the snapshot to an externally
         supplied closed read timestamp (``None`` ⇒ fresh snapshot)."""
-        if len(args) == 1:
-            (serializable,) = args
-            at_ts = None
-        else:
-            serializable, raw_at = _arity(args, 2)
-            at_ts = None if raw_at is None else _as_int(raw_at, "at_ts")
+        serializable = args[0]
+        at_ts = args[1] if len(args) > 1 else None
         repl = self.replication
         if repl is not None and repl.role == "replica" and at_ts is None:
             if serializable:
@@ -691,8 +642,7 @@ class DatabaseServer:
         return txn.txid
 
     async def _cmd_commit(self, session: Session, args: tuple) -> None:
-        (txid,) = _arity(args, 1)
-        txn = session.claim(_as_int(txid, "txid"))
+        txn = session.claim(args[0])
 
         def work() -> None:
             try:
@@ -709,8 +659,7 @@ class DatabaseServer:
                 session.forget(txn.txid)
 
     async def _cmd_abort(self, session: Session, args: tuple) -> None:
-        (txid,) = _arity(args, 1)
-        txn = session.claim(_as_int(txid, "txid"))
+        txn = session.claim(args[0])
         try:
             await self._run(session, Command.ABORT, lambda: self.db.abort(txn))
         finally:
@@ -719,12 +668,12 @@ class DatabaseServer:
 
     async def _cmd_create_table(self, session: Session,
                                 args: tuple) -> None:
-        name, columns, indexes = _arity(args, 3)
-        table = _as_str(name, "table name")
+        table, columns, indexes = args
         try:
-            schema = Schema.of(*[(_as_str(cn), ColType(ct))
+            schema = Schema.of(*[(as_str(cn, "column"), ColType(ct))
                                  for cn, ct in columns])
-            defs = [IndexDef(_as_str(iname), tuple(cols), bool(unique),
+            defs = [IndexDef(as_str(iname, "index"), tuple(cols),
+                             bool(unique),
                              IndexKind(kind))
                     for iname, cols, unique, kind in indexes]
         except (ValueError, TypeError) as exc:
@@ -734,111 +683,92 @@ class DatabaseServer:
             lambda: self.db.create_table(table, schema, indexes=defs))
 
     async def _cmd_insert(self, session: Session, args: tuple) -> object:
-        txid, table, row = _arity(args, 3)
-        txn = session.claim(_as_int(txid, "txid"))
-        return await self._run(
-            session, Command.INSERT,
-            lambda: self.db.insert(txn, _as_str(table), _as_row(row)))
+        txid, table, row = args
+        txn = session.claim(txid)
+        return await self._run(session, Command.INSERT,
+                               lambda: self.db.insert(txn, table, row))
 
     async def _cmd_bulk_insert(self, session: Session,
                                args: tuple) -> tuple:
-        txid, table, rows = _arity(args, 3)
-        txn = session.claim(_as_int(txid, "txid"))
-        if not isinstance(rows, tuple):
-            raise ProtocolError(f"expected rows tuple, got {rows!r}")
-        payload = [_as_row(row) for row in rows]
+        txid, table, rows = args
+        txn = session.claim(txid)
         return tuple(await self._run(
             session, Command.BULK_INSERT,
-            lambda: self.db.bulk_insert(txn, _as_str(table), payload)))
+            lambda: self.db.bulk_insert(txn, table, list(rows))))
 
     async def _cmd_read(self, session: Session, args: tuple) -> object:
-        txid, table, ref = _arity(args, 3)
-        txn = session.claim(_as_int(txid, "txid"))
-        return await self._run(
-            session, Command.READ,
-            lambda: self.db.read(txn, _as_str(table), _as_ref(ref)))
+        txid, table, ref = args
+        txn = session.claim(txid)
+        return await self._run(session, Command.READ,
+                               lambda: self.db.read(txn, table, ref))
 
     async def _cmd_update(self, session: Session, args: tuple) -> object:
-        txid, table, ref, row = _arity(args, 4)
-        txn = session.claim(_as_int(txid, "txid"))
-        return await self._run(
-            session, Command.UPDATE,
-            lambda: self.db.update(txn, _as_str(table), _as_ref(ref),
-                                   _as_row(row)))
+        txid, table, ref, row = args
+        txn = session.claim(txid)
+        return await self._run(session, Command.UPDATE,
+                               lambda: self.db.update(txn, table, ref, row))
 
     async def _cmd_delete(self, session: Session, args: tuple) -> None:
-        txid, table, ref = _arity(args, 3)
-        txn = session.claim(_as_int(txid, "txid"))
-        await self._run(
-            session, Command.DELETE,
-            lambda: self.db.delete(txn, _as_str(table), _as_ref(ref)))
+        txid, table, ref = args
+        txn = session.claim(txid)
+        await self._run(session, Command.DELETE,
+                        lambda: self.db.delete(txn, table, ref))
 
     async def _cmd_lookup(self, session: Session, args: tuple) -> tuple:
-        txid, table, index, key = _arity(args, 4)
-        txn = session.claim(_as_int(txid, "txid"))
+        txid, table, index, key = args
+        txn = session.claim(txid)
         return tuple(await self._run(
             session, Command.LOOKUP,
-            lambda: self.db.lookup(txn, _as_str(table), _as_str(index),
-                                   key)))
+            lambda: self.db.lookup(txn, table, index, key)))
 
     async def _cmd_range_lookup(self, session: Session,
                                 args: tuple) -> tuple:
-        txid, table, index, lo, hi = _arity(args, 5)
-        txn = session.claim(_as_int(txid, "txid"))
+        txid, table, index, lo, hi = args
+        txn = session.claim(txid)
         return tuple(await self._run(
             session, Command.RANGE_LOOKUP,
-            lambda: self.db.range_lookup(txn, _as_str(table),
-                                         _as_str(index), lo, hi)))
+            lambda: self.db.range_lookup(txn, table, index, lo, hi)))
 
     async def _cmd_scan(self, session: Session, args: tuple) -> tuple:
-        txid, table = _arity(args, 2)
-        txn = session.claim(_as_int(txid, "txid"))
+        txid, table = args
+        txn = session.claim(txid)
         return tuple(await self._run(
-            session, Command.SCAN,
-            lambda: list(self.db.scan(txn, _as_str(table)))))
+            session, Command.SCAN, lambda: list(self.db.scan(txn, table))))
 
     async def _cmd_scan_batch(self, session: Session, args: tuple) -> tuple:
-        txid, table, columns, where, after, limit = _arity(args, 6)
-        txn = session.claim(_as_int(txid, "txid"))
-        cols = (None if columns is None
-                else [_as_str(c, "column") for c in columns])
+        txid, table, columns, where, after, limit = args
+        txn = session.claim(txid)
+        # this endpoint's cursor is the engine's own: a VID or row offset
+        cursor = None if after is None else as_int(after, "cursor")
 
         def work() -> tuple:
-            rows, cursor = self.db.scan_batch(
-                txn, _as_str(table), columns=cols,
-                where=_as_predicate(where),
-                after=None if after is None else _as_int(after, "cursor"),
-                limit=_as_int(limit, "limit"))
-            return tuple(rows), cursor
+            rows, next_cursor = self.db.scan_batch(
+                txn, table, where=where, after=cursor, limit=limit,
+                columns=None if columns is None else list(columns))
+            return tuple(rows), next_cursor
         return await self._run(session, Command.SCAN_BATCH, work)
 
     async def _cmd_aggregate(self, session: Session, args: tuple) -> object:
-        txid, table, op, column, where = _arity(args, 5)
-        txn = session.claim(_as_int(txid, "txid"))
+        txid, table, op, column, where = args
+        txn = session.claim(txid)
         return await self._run(
             session, Command.AGGREGATE,
-            lambda: self.db.aggregate(
-                txn, _as_str(table), _as_str(op, "aggregate op"),
-                column=None if column is None else _as_str(column, "column"),
-                where=_as_predicate(where)))
+            lambda: self.db.aggregate(txn, table, op, column=column,
+                                      where=where))
 
     async def _cmd_scan_vid_range(self, session: Session,
                                   args: tuple) -> tuple:
-        txid, table, lo, hi = _arity(args, 4)
-        txn = session.claim(_as_int(txid, "txid"))
+        txid, table, lo, hi = args
+        txn = session.claim(txid)
         return tuple(await self._run(
             session, Command.SCAN_VID_RANGE,
-            lambda: self.db.scan_vid_range(txn, _as_str(table),
-                                           _as_int(lo), _as_int(hi))))
+            lambda: self.db.scan_vid_range(txn, table, lo, hi)))
 
-    async def _cmd_tick(self, session: Session, args: tuple) -> None:
-        _arity(args, 0)
+    async def _cmd_tick(self, session: Session, _args: tuple) -> None:
         await self._run(session, Command.TICK, self.db.tick)
 
     async def _cmd_maintenance(self, session: Session,
-                               args: tuple) -> dict:
-        _arity(args, 0)
-
+                               _args: tuple) -> dict:
         def work() -> dict:
             out: dict[str, dict[str, int]] = {}
             for table, report in self.db.maintenance().items():
@@ -852,38 +782,29 @@ class DatabaseServer:
             return out
         return await self._run(session, Command.MAINTENANCE, work)
 
-    async def _cmd_snapshot(self, session: Session, args: tuple) -> dict:
-        _arity(args, 0)
+    async def _cmd_snapshot(self, session: Session, _args: tuple) -> dict:
         return await self._run(
             session, Command.SNAPSHOT,
             lambda: dataclasses.asdict(snapshot(self.db, server=self)))
 
-    async def _cmd_stats(self, _session: Session, args: tuple) -> dict:
-        _arity(args, 0)
+    async def _cmd_stats(self, _session: Session, _args: tuple) -> dict:
         return self.stats_payload()
 
-    async def _cmd_clock_now(self, session: Session, args: tuple) -> int:
-        _arity(args, 0)
+    async def _cmd_clock_now(self, session: Session, _args: tuple) -> int:
         return await self._run(session, Command.CLOCK_NOW,
                                lambda: self.db.clock.now)
 
     async def _cmd_clock_advance(self, session: Session,
                                  args: tuple) -> int:
-        (usec,) = _arity(args, 1)
-        delta = _as_int(usec, "microseconds")
-
         def work() -> int:
-            self.db.clock.advance(delta)
+            self.db.clock.advance(args[0])
             return self.db.clock.now
         return await self._run(session, Command.CLOCK_ADVANCE, work)
 
     async def _cmd_clock_advance_to(self, session: Session,
                                     args: tuple) -> int:
-        (usec,) = _arity(args, 1)
-        target = _as_int(usec, "microseconds")
-
         def work() -> int:
-            self.db.clock.advance_to(target)
+            self.db.clock.advance_to(args[0])
             return self.db.clock.now
         return await self._run(session, Command.CLOCK_ADVANCE_TO, work)
 
@@ -896,12 +817,9 @@ class DatabaseServer:
         have noticed its client died yet); ``"unknown"`` means the txid
         was never allocated.
         """
-        (txid,) = _arity(args, 1)
-        wanted = _as_int(txid, "txid")
-
         def work() -> str:
             try:
-                state = self.db.txn_mgr.state_of(wanted)
+                state = self.db.txn_mgr.state_of(args[0])
             except TxnStateError:
                 return "unknown"
             if state is TxnState.COMMITTED:
@@ -922,13 +840,12 @@ class DatabaseServer:
         session via COMMIT_PREPARED/ABORT_PREPARED, settles it.  A failed
         prepare aborts, exactly like a failed COMMIT.
         """
-        txid, gtxid = _arity(args, 2)
-        txn = session.claim(_as_int(txid, "txid"))
-        wanted_gtxid = _as_int(gtxid, "gtxid")
+        txid, gtxid = args
+        txn = session.claim(txid)
 
         def work() -> None:
             try:
-                self.db.prepare(txn, wanted_gtxid)
+                self.db.prepare(txn, gtxid)
             except BaseException:
                 if txn.phase is TxnPhase.ACTIVE:
                     self.db.abort(txn)
@@ -942,18 +859,14 @@ class DatabaseServer:
     async def _cmd_commit_prepared(self, session: Session,
                                    args: tuple) -> bool:
         """2PC phase 2, commit decision (idempotent, session-free)."""
-        (txid,) = _arity(args, 1)
-        wanted = _as_int(txid, "txid")
         return await self._run(session, Command.COMMIT_PREPARED,
-                               lambda: self.db.commit_prepared(wanted))
+                               lambda: self.db.commit_prepared(args[0]))
 
     async def _cmd_abort_prepared(self, session: Session,
                                   args: tuple) -> bool:
         """2PC phase 2, abort decision (idempotent, session-free)."""
-        (txid,) = _arity(args, 1)
-        wanted = _as_int(txid, "txid")
         return await self._run(session, Command.ABORT_PREPARED,
-                               lambda: self.db.abort_prepared(wanted))
+                               lambda: self.db.abort_prepared(args[0]))
 
     async def _cmd_closed_ts(self, session: Session, args: tuple) -> int:
         """The closed-timestamp watermark, optionally ratcheting first.
@@ -974,18 +887,14 @@ class DatabaseServer:
                                        repl.read_ts)
             return await self._run(session, Command.CLOSED_TS,
                                    self.db.closed_ts)
-        (raw,) = _arity(args, 1)
-        target = _as_int(raw, "timestamp")
         return await self._run(session, Command.CLOSED_TS,
-                               lambda: self.db.advance_to(target))
+                               lambda: self.db.advance_to(args[0]))
 
     async def _cmd_wal_subscribe(self, session: Session,
                                  args: tuple) -> tuple:
         """Register a follower's replication slot; returns
         ``(epoch, durable_seq)``."""
-        follower_id, start_seq = _arity(args, 2)
-        fid = _as_str(follower_id, "follower id")
-        seq = _as_int(start_seq, "start seq")
+        fid, seq = args
 
         def work() -> tuple:
             info = self._replication_source().subscribe(fid, seq)
@@ -999,8 +908,7 @@ class DatabaseServer:
     async def _cmd_wal_unsubscribe(self, session: Session,
                                    args: tuple) -> None:
         """Drop a follower's replication slot (releases its retention)."""
-        (follower_id,) = _arity(args, 1)
-        fid = _as_str(follower_id, "follower id")
+        fid = args[0]
 
         def work() -> None:
             self._replication_source().unsubscribe(fid)
@@ -1010,8 +918,7 @@ class DatabaseServer:
     async def _cmd_backup_begin(self, session: Session,
                                 args: tuple) -> dict:
         """Cut an online base backup; returns the backup handle."""
-        (follower_id,) = _arity(args, 1)
-        fid = _as_str(follower_id, "follower id")
+        fid = args[0]
 
         def work() -> dict:
             handle = self._replication_source().backup_begin(fid)
@@ -1023,18 +930,13 @@ class DatabaseServer:
     async def _cmd_backup_fetch(self, session: Session,
                                 args: tuple) -> list:
         """One backup image chunk."""
-        backup_id, epoch, chunk_index = _arity(args, 3)
-        bid = _as_str(backup_id, "backup id")
-        ep = _as_int(epoch, "epoch")
-        index = _as_int(chunk_index, "chunk index")
         return await self._run(
             session, Command.BACKUP_FETCH,
-            lambda: self._replication_source().backup_fetch(bid, ep, index))
+            lambda: self._replication_source().backup_fetch(*args))
 
     async def _cmd_backup_end(self, session: Session, args: tuple) -> None:
         """Release a backup handle."""
-        (backup_id,) = _arity(args, 1)
-        bid = _as_str(backup_id, "backup id")
+        bid = args[0]
 
         def work() -> None:
             self._replication_source().backup_end(bid)
@@ -1044,16 +946,9 @@ class DatabaseServer:
     async def _cmd_wal_fetch(self, session: Session, args: tuple) -> tuple:
         """One shipped WAL frame:
         ``(epoch, since_seq, blob, durable_seq, closed_ts)``."""
-        follower_id, epoch, since_seq, acked_seq, limit = _arity(args, 5)
-        fid = _as_str(follower_id, "follower id")
-        ep = _as_int(epoch, "epoch")
-        since = _as_int(since_seq, "since seq")
-        acked = _as_int(acked_seq, "acked seq")
-        lim = _as_int(limit, "limit")
         return await self._run(
             session, Command.WAL_FETCH,
-            lambda: self._replication_source().fetch(fid, ep, since,
-                                                     acked, lim))
+            lambda: self._replication_source().fetch(*args))
 
     def _replication_source(self):
         if self.replication is None:
@@ -1081,7 +976,3 @@ class DatabaseServer:
                 self.replication.unsubscribe(follower_id)
             self.sessions.stats.slots_dropped += 1
         session.slots.clear()
-
-    async def _cmd_shutdown(self, _session: Session, args: tuple) -> None:
-        _arity(args, 0)
-        return None

@@ -71,10 +71,6 @@ class Session:
     #: the session for the same reason
     backups: set[str] = field(default_factory=set)
 
-    def touch(self, now: float) -> None:
-        """Record activity (resets the idle clock)."""
-        self.last_active = now
-
     def begin_command(self, now: float) -> None:
         """A command arrived and is about to execute."""
         self.last_active = now

@@ -42,6 +42,7 @@ from repro.common import units
 from repro.common.errors import CircuitOpenError
 from repro.db.database import EngineKind
 from repro.db.recovery import crash, recover
+from repro.experiments.sweeps.cluster import FracturingRouter
 from repro.server.chaos import NetFaultKind
 from repro.server.protocol import Command
 from tests.conftest import make_accounts_db
@@ -388,9 +389,8 @@ class TestClusterWideSnapshots:
     def test_legacy_per_shard_snapshots_fracture(self, two_shards):
         """Reproducer: with per-shard first-touch snapshots the scanner
         sees the credit but not the debit of one committed transfer."""
-        router = ClusterRouter(two_shards.addresses, RouterConfig(
-            port=0, idle_timeout_sec=30.0, drain_timeout_sec=2.0,
-            per_shard_snapshots=True))
+        router = FracturingRouter(two_shards.addresses, RouterConfig(
+            port=0, idle_timeout_sec=30.0, drain_timeout_sec=2.0))
         host, port = router.start_in_background()
         try:
             with RemoteDatabase(host, port, pool_size=2) as remote:
@@ -436,7 +436,8 @@ class TestClusterWideSnapshots:
             remote.commit(txn)
             stats = remote.server_stats()
         section = stats["cluster"]
-        assert section["per_shard_snapshots"] is False
+        # the per-shard-snapshot canary is a test subclass, not a mode
+        assert "per_shard_snapshots" not in section
         for key in ("snapshot_ts", "commit_floor", "straddle_windows",
                     "in_doubt_1pc", "pending_decisions"):
             assert isinstance(section[key], int), key

@@ -333,10 +333,12 @@ class TestSessionLifecycle:
             idler.request(Command.INSERT, txid, "accounts",
                           (5, "idle", 0.0))
             assert db.txn_mgr.active_count() == 1
-            _wait_until(lambda: db.txn_mgr.active_count() == 0,
+            # the counter is bumped on the event loop only after the abort
+            # returned from the executor, so wait on it, not on the engine
+            _wait_until(lambda: server.sessions.stats.orphans_aborted == 1,
                         timeout_sec=5.0)
+            assert db.txn_mgr.active_count() == 0
             assert server.sessions.stats.idle_closed == 1
-            assert server.sessions.stats.orphans_aborted == 1
             # the reaped connection is dead from the client's view
             with pytest.raises((ConnectionError, SessionError)):
                 idler.request(Command.PING)
