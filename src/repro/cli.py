@@ -264,12 +264,12 @@ def _cluster_start(args: argparse.Namespace) -> int:
                                SupervisorConfig)
 
     supervisor = ShardSupervisor(SupervisorConfig(
-        shards=args.shards, host=args.host, mode=args.mode, tpcc=args.tpcc,
+        shards=args.shards, host=args.host, tpcc=args.tpcc,
         idle_timeout_sec=args.idle_timeout,
         drain_timeout_sec=args.drain_timeout))
     addresses = supervisor.start()
     for i, (host, port) in enumerate(addresses):
-        print(f"shard {i}: {host}:{port} ({args.mode} mode)", flush=True)
+        print(f"shard {i}: {host}:{port}", flush=True)
     router = ClusterRouter(addresses, RouterConfig(
         host=args.host, port=args.port,
         idle_timeout_sec=args.idle_timeout,
@@ -476,10 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     cstart.add_argument("--host", default="127.0.0.1")
     cstart.add_argument("--port", type=int, default=7654,
                         help="router port; 0 binds an ephemeral port")
-    cstart.add_argument("--mode", choices=("thread", "process"),
-                        default="thread",
-                        help="shards as in-process threads or `repro "
-                             "serve` subprocesses")
     cstart.add_argument("--tpcc", action="store_true",
                         help="pre-create the nine TPC-C tables on every "
                              "shard")

@@ -406,11 +406,6 @@ class RemoteDatabase:
         """Admission-control, session and per-command service counters."""
         return self._call(Command.STATS)
 
-    def replication_status(self) -> dict:
-        """The server's replication health: role, epoch, slots, lag,
-        resync and supervisor state (empty on a non-replicated node)."""
-        return self.server_stats().get("replication", {})
-
     def closed_ts(self, ratchet_to: int | None = None) -> int:
         """The server's closed-timestamp watermark.
 

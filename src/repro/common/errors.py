@@ -105,14 +105,6 @@ class SerializationError(TxnError):
     """
 
 
-class LockTimeoutError(TxnError):
-    """A transactional lock could not be acquired within the wait budget."""
-
-
-class DeadlockError(TxnError):
-    """A wait-for cycle was detected between transactions."""
-
-
 # ---------------------------------------------------------------------------
 # engines
 # ---------------------------------------------------------------------------

@@ -18,12 +18,19 @@ Mutation model (the paper's Algorithms 2/3 re-expressed):
 
 On abort, registered undo actions swing VIDmap entrypoints back, so aborted
 versions become unreachable garbage for the page GC.
+
+**Redo** (:meth:`SiasVEngine.redo`) replays a logged version: crash
+recovery, in-doubt 2PC reinstatement, replica stream apply and resync
+install all go through it.  Every write — transactional or replayed —
+ends in the same latched append-and-swing (:meth:`SiasVEngine._append_head`),
+so a GC pass (which holds every stripe) can never interleave with one.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.buffer.manager import BufferManager
 from repro.common.config import Colocation, EngineConfig
@@ -118,16 +125,28 @@ class SiasVEngine:
         """Release the transaction's co-location page (SI-CV policy)."""
         self.store.release_group(txid)
 
+    def _append_head(self, vid: int, create_ts: int, pred: Tid | None,
+                     tombstone: bool, payload: bytes,
+                     group: object = None) -> Tid:
+        """Append a version of ``vid`` and swing its entrypoint to it.
+
+        The one write tail: both run under the item's stripe, so a GC
+        pass (all stripes held) sees either none or both.  Stripes are
+        reentrant — :meth:`redo` calls this already holding it.
+        """
+        record = VersionRecord(create_ts=create_ts, vid=vid, pred=pred,
+                               tombstone=tombstone, payload=payload)
+        with self.latches.of((self.relation_id, vid)):
+            tid = self.store.append(record, group=group)
+            self.vidmap.set(vid, tid)
+        return tid
+
     def insert(self, txn: Transaction, payload: bytes) -> int:
         """Create a new data item; returns its VID."""
         vid = self.allocator.allocate()
         self.txn_mgr.locks.acquire((self.relation_id, vid), txn.txid)
-        key = (self.relation_id, vid)
-        record = VersionRecord(create_ts=txn.txid, vid=vid, pred=None,
-                               tombstone=False, payload=payload)
-        with self.latches.of(key):
-            tid = self.store.append(record, group=self._group(txn))
-            self.vidmap.set(vid, tid)
+        self._append_head(vid, txn.txid, None, False, payload,
+                          self._group(txn))
         txn.register_undo(lambda: self._undo_entrypoint(vid, None))
         self._log(txn, WalRecordType.INSERT, vid, payload)
         txn.writes += 1
@@ -149,13 +168,10 @@ class SiasVEngine:
                                    txn.txid)
         group = self._group(txn)
         for vid, payload in zip(vids, payloads):
-            record = VersionRecord(create_ts=txn.txid, vid=vid, pred=None,
-                                   tombstone=False, payload=payload)
-            tid = self.store.append(record, group=group)
-            self.vidmap.set(vid, tid)
+            self._append_head(vid, txn.txid, None, False, payload, group)
             self._log(txn, WalRecordType.INSERT, vid, payload)
         txn.register_undo(
-            lambda: [self.vidmap.set(vid, None) for vid in vids])
+            lambda: [self._undo_entrypoint(vid, None) for vid in vids])
         txn.writes += len(payloads)
         return vids
 
@@ -171,12 +187,8 @@ class SiasVEngine:
         """
         self.txn_mgr.locks.acquire((self.relation_id, vid), txn.txid)
         entry_tid = self._check_updatable(txn, vid)
-        key = (self.relation_id, vid)
-        record = VersionRecord(create_ts=txn.txid, vid=vid, pred=entry_tid,
-                               tombstone=False, payload=payload)
-        with self.latches.of(key):
-            new_tid = self.store.append(record, group=self._group(txn))
-            self.vidmap.set(vid, new_tid)
+        self._append_head(vid, txn.txid, entry_tid, False, payload,
+                          self._group(txn))
         txn.register_undo(lambda: self._undo_entrypoint(vid, entry_tid))
         self._log(txn, WalRecordType.UPDATE, vid, payload)
         txn.writes += 1
@@ -185,15 +197,36 @@ class SiasVEngine:
         """Append a tombstone version of ``vid``."""
         self.txn_mgr.locks.acquire((self.relation_id, vid), txn.txid)
         entry_tid = self._check_updatable(txn, vid)
-        key = (self.relation_id, vid)
-        record = VersionRecord(create_ts=txn.txid, vid=vid, pred=entry_tid,
-                               tombstone=True, payload=b"")
-        with self.latches.of(key):
-            new_tid = self.store.append(record, group=self._group(txn))
-            self.vidmap.set(vid, new_tid)
+        self._append_head(vid, txn.txid, entry_tid, True, b"",
+                          self._group(txn))
         txn.register_undo(lambda: self._undo_entrypoint(vid, entry_tid))
         self._log(txn, WalRecordType.DELETE, vid, b"")
         txn.writes += 1
+
+    def redo(self, vid: int, create_ts: int, tombstone: bool,
+             payload: bytes,
+             skip: Callable[[Tid, VersionRecord], bool] | None = None,
+             ) -> tuple[Tid | None, Tid] | None:
+        """Replay one logged version on top of ``vid``'s current head.
+
+        Under the item's stripe: read the head, let ``skip(head_tid,
+        head)`` veto the replay (each replayer has its own rule for "the
+        head already has it"; never asked without a head), append the
+        version chained to the head, swing the entrypoint, and raise
+        the VID high-water mark past ``vid``.  Holding the stripe
+        across read-chain-swing is what keeps a GC relocation from
+        overwriting the swing.  Returns ``(prior_head, new_tid)``, or
+        None when skipped.
+        """
+        with self.latches.of((self.relation_id, vid)):
+            head_tid = self.vidmap.get(vid)
+            if (head_tid is not None and skip is not None
+                    and skip(head_tid, self.store.read(head_tid))):
+                return None
+            new_tid = self._append_head(vid, create_ts, head_tid,
+                                        tombstone, payload)
+            self.allocator.reserve_through(vid)
+        return head_tid, new_tid
 
     def _undo_entrypoint(self, vid: int, entry_tid: Tid | None) -> None:
         """Abort path: swing the entrypoint back under the item's stripe."""

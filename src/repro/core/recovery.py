@@ -143,9 +143,7 @@ def _rebuild_vidmap(engine: SiasVEngine,
         engine.vidmap.set(vid, tid)
     report.items_mapped = len(best)
     # VID allocation must resume above everything ever assigned
-    if max_vid >= engine.allocator.high_water:
-        engine.allocator.allocate_block(max_vid + 1
-                                        - engine.allocator.high_water)
+    engine.allocator.reserve_through(max_vid)
 
 
 def _durable_depth(engine: SiasVEngine, tid: Tid, txid: int) -> int:
@@ -176,42 +174,32 @@ def _redo_from_wal(engine: SiasVEngine, wal_records: list[WalRecord],
     clog = engine.txn_mgr.clog
     seen: dict[tuple[int, int], int] = {}
     pre_depth: dict[tuple[int, int], int] = {}
+
+    def durable(head_tid: Tid, head: VersionRecord) -> bool:
+        """Skip rule for the loop's current ``record`` (``key``, ``index``):
+        a newer head, or this write is already durable."""
+        if head.create_ts != record.txid:
+            # a later committed change supersedes this one
+            return head.create_ts > record.txid
+        # the transaction's own versions head the chain: its first
+        # ``depth`` records are already durable, any further writes it
+        # made to this item are not
+        if key not in pre_depth:
+            pre_depth[key] = _durable_depth(engine, head_tid, record.txid)
+        return index < pre_depth[key]
+
     for record in wal_records:
         if record.type not in (WalRecordType.INSERT, WalRecordType.UPDATE,
                                WalRecordType.DELETE):
             continue
         if not clog.is_committed(record.txid):
             continue
-        vid = record.item_id
-        current_tid = engine.vidmap.get(vid)
-        key = (record.txid, vid)
+        key = (record.txid, record.item_id)
         index = seen.get(key, 0)
         seen[key] = index + 1
-        if current_tid is not None:
-            current = engine.store.read(current_tid)
-            if current.create_ts > record.txid:
-                report.redo_skipped += 1
-                continue  # a later committed change supersedes this one
-            if current.create_ts == record.txid:
-                # the transaction's own versions head the chain: its
-                # first ``depth`` records are already durable, any
-                # further writes it made to this item are not
-                if key not in pre_depth:
-                    pre_depth[key] = _durable_depth(
-                        engine, current_tid, record.txid)
-                if index < pre_depth[key]:
-                    report.redo_skipped += 1
-                    continue
-        version = VersionRecord(
-            create_ts=record.txid,
-            vid=vid,
-            pred=current_tid,
-            tombstone=record.type is WalRecordType.DELETE,
-            payload=record.payload,
-        )
-        new_tid = engine.store.append(version)
-        engine.vidmap.set(vid, new_tid)
-        if vid >= engine.allocator.high_water:
-            engine.allocator.allocate_block(
-                vid + 1 - engine.allocator.high_water)
-        report.redo_applied += 1
+        if engine.redo(record.item_id, record.txid,
+                       record.type is WalRecordType.DELETE, record.payload,
+                       durable) is None:
+            report.redo_skipped += 1
+        else:
+            report.redo_applied += 1

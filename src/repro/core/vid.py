@@ -41,6 +41,11 @@ class VidAllocator:
             self._next += count
             return block
 
+    def reserve_through(self, vid: int) -> None:
+        """Raise the high-water mark past ``vid`` (redo of a logged VID)."""
+        with self._mu:
+            self._next = max(self._next, vid + 1)
+
     @property
     def high_water(self) -> int:
         """One past the largest VID handed out so far."""

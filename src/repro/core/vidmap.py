@@ -98,21 +98,6 @@ class VidMap:
             for slot, tid in bucket.items():
                 yield base + slot, tid
 
-    def entries_from(self, start: int) -> Iterator[tuple[int, Tid]]:
-        """``(vid, entrypoint)`` pairs with ``vid >= start``, in VID order.
-
-        The resume point of cursored scans: seeks straight to the bucket
-        holding ``start`` instead of replaying the map from VID 0.
-        """
-        start = max(0, start)
-        for bucket_no in range(self.bucket_of(start), len(self._buckets)):
-            bucket = self._buckets[bucket_no]
-            base = bucket_no * self.slots_per_bucket
-            first = start - base if base < start else 0
-            for slot, tid in bucket.items():
-                if slot >= first:
-                    yield base + slot, tid
-
     def entry_batches(self, start: int,
                       size: int) -> Iterator[list[tuple[int, Tid]]]:
         """``(vid, entrypoint)`` pairs with ``vid >= start`` in lists of up

@@ -82,3 +82,19 @@ class Relation:
         except KeyError:
             raise SchemaError(
                 f"relation {self.name} has no index {name!r}") from None
+
+    def index_missing(self, ref: object,
+                      row: tuple) -> list[tuple[BPlusTree, object]]:
+        """Insert ``row``'s index entries under ``ref`` that are absent.
+
+        The redo paths' index step: replays must not double an entry a
+        scan or an earlier replay already put in.  Returns the
+        ``(tree, key)`` pairs actually inserted.
+        """
+        added = []
+        for definition, tree in self.indexes.values():
+            key = definition.key_of(self.schema, row)
+            if not tree.contains(key, ref):
+                tree.insert(key, ref)
+                added.append((tree, key))
+        return added

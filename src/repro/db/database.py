@@ -54,7 +54,6 @@ from repro.db.schema import Schema
 from repro.pages.layout import Tid
 from repro.storage.device import BlockDevice
 from repro.storage.flash import FlashDevice
-from repro.storage.hdd import HddDevice
 from repro.storage.tablespace import Tablespace
 from repro.storage.trace import TraceRecorder
 from repro.txn.manager import Transaction, TransactionManager
@@ -137,16 +136,6 @@ class Database:
         clock = SimClock()
         data = FlashDevice(clock, config.flash, trace=trace, name="data-ssd")
         wal = FlashDevice(clock, config.flash, name="wal-ssd")
-        return cls(kind, data, wal, config)
-
-    @classmethod
-    def on_hdd(cls, kind: EngineKind, config: SystemConfig | None = None,
-               trace: TraceRecorder | None = None) -> "Database":
-        """Database on a single simulated spinning disk (+ WAL disk)."""
-        config = config or SystemConfig()
-        clock = SimClock()
-        data = HddDevice(clock, config.hdd, trace=trace, name="data-hdd")
-        wal = HddDevice(clock, config.hdd, name="wal-hdd")
         return cls(kind, data, wal, config)
 
     # -- schema -------------------------------------------------------------------------

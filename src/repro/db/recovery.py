@@ -198,7 +198,6 @@ def _reinstate_prepared(db: Database, durable, in_doubt: dict[int, int],
     """
     if not in_doubt:
         return
-    from repro.pages.layout import VersionRecord
     from repro.txn.manager import Transaction, TxnPhase
     from repro.txn.snapshot import Snapshot
 
@@ -223,29 +222,15 @@ def _reinstate_prepared(db: Database, durable, in_doubt: dict[int, int],
         engine = relation.engine
         vid = record.item_id
         mgr.locks.acquire((relation.relation_id, vid), txn.txid)
-        current_tid = engine.vidmap.get(vid)
-        version = VersionRecord(
-            create_ts=record.txid,
-            vid=vid,
-            pred=current_tid,
-            tombstone=record.type is WalRecordType.DELETE,
-            payload=record.payload,
-        )
-        new_tid = engine.store.append(version)
-        engine.vidmap.set(vid, new_tid)
+        tombstone = record.type is WalRecordType.DELETE
+        prior_tid, _new_tid = engine.redo(vid, record.txid, tombstone,
+                                          record.payload)
         txn.register_undo(
-            lambda e=engine, v=vid, t=current_tid: e._undo_entrypoint(v, t))
-        if vid >= engine.allocator.high_water:
-            engine.allocator.allocate_block(
-                vid + 1 - engine.allocator.high_water)
-        if record.type is not WalRecordType.DELETE:
+            lambda e=engine, v=vid, t=prior_tid: e._undo_entrypoint(v, t))
+        if not tombstone:
             row = relation.codec.decode(record.payload)
-            for definition, tree in relation.indexes.values():
-                key = definition.key_of(relation.schema, row)
-                if not tree.contains(key, vid):
-                    tree.insert(key, vid)
-                    txn.register_undo(
-                        lambda t=tree, k=key, r=vid: t.delete(k, r))
+            for tree, key in relation.index_missing(vid, row):
+                txn.register_undo(lambda t=tree, k=key, r=vid: t.delete(k, r))
         txn.writes += 1
         report.prepared_redo += 1
     for txn in txns.values():
@@ -313,10 +298,6 @@ def _rebuild_indexes(db: Database) -> int:
     txn = db.begin()
     for name, relation in db.tables.items():
         for ref, row in db.scan(txn, name):
-            for definition, tree in relation.indexes.values():
-                key = definition.key_of(relation.schema, row)
-                if not tree.contains(key, ref):
-                    tree.insert(key, ref)
-                    rebuilt += 1
+            rebuilt += len(relation.index_missing(ref, row))
     db.commit(txn)
     return rebuilt

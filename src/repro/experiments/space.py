@@ -30,13 +30,6 @@ class SpaceResult:
     si_space_mib: float
     t2_space_mib: float
 
-    @property
-    def t2_reduction(self) -> float:
-        """Fractional space reduction of SIAS-t2 vs SI."""
-        if self.si_space_mib == 0:
-            return 0.0
-        return 1.0 - self.t2_space_mib / self.si_space_mib
-
     def table(self) -> str:
         """Render the space table.
 

@@ -1,7 +1,7 @@
 """``cluster-link`` / ``cluster-crash`` / ``cluster-canary``: break the
 k-th router→shard frame of a sharded 2PC cluster.
 
-A 2-shard thread-mode :class:`ShardSupervisor` behind a
+A 2-shard in-process :class:`ShardSupervisor` behind a
 :class:`ClusterRouter`, with the fault point on the *router's* links to
 the shards — so the k-th frame of the cluster's internal conversation
 dies mid-2PC (mid-PREPARE, mid-decision-push, in the lost-ack window of

@@ -98,12 +98,6 @@ def run(setup: harness.SystemSetup | None = None,
     return ThroughputSweepResult(setup_name=setup.name, points=points)
 
 
-def run_f3(**kwargs) -> ThroughputSweepResult:
-    """F3 preset: the two-SSD stripe."""
-    kwargs.setdefault("setup", harness.ssd_raid2())
-    return run(**kwargs)
-
-
 def run_f4(**kwargs) -> ThroughputSweepResult:
     """F4 preset: the six-SSD stripe with a large buffer pool."""
     kwargs.setdefault("setup", harness.ssd_raid6())

@@ -491,9 +491,3 @@ class AppendPage(Page):
             else memoryview(payload)
         page._init_sealed(view, count)
         return page
-
-    def min_record_size(self) -> int:
-        """Smallest record cost (for capacity maths in tests)."""
-        if self.layout is PageLayout.NSM:
-            return VERSION_HEADER_SIZE
-        return VECTOR_META_SIZE

@@ -15,7 +15,7 @@ import struct
 from repro.common import units
 from repro.common.errors import PageFullError, SlotError
 from repro.pages.base import Page, PageKind
-from repro.pages.layout import HEAP_HEADER_SIZE, HeapTuple
+from repro.pages.layout import HeapTuple
 
 _SLOT = struct.Struct("<H")  # per-slot: offset into the payload (0 = dead)
 _COUNT = struct.Struct("<H")
@@ -32,11 +32,6 @@ class SlottedHeapPage(Page):
         self._tuples: list[HeapTuple | None] = []
 
     # -- space accounting --------------------------------------------------------
-
-    @property
-    def slot_count(self) -> int:
-        """Number of slots (live + dead) in the directory."""
-        return len(self._tuples)
 
     def live_slots(self) -> list[int]:
         """Slot numbers that still hold a tuple."""
@@ -139,7 +134,3 @@ class SlottedHeapPage(Page):
                 tuple_, _end = HeapTuple.unpack(payload, offset)
                 page._tuples.append(tuple_)
         return page
-
-    def min_tuple_size(self) -> int:
-        """Smallest insert this page format can accept (for fill checks)."""
-        return HEAP_HEADER_SIZE + _SLOT.size

@@ -5,7 +5,7 @@ to its database and serves ``WAL_SUBSCRIBE`` / ``WAL_FETCH`` plus the
 ``BACKUP_BEGIN`` / ``BACKUP_FETCH`` / ``BACKUP_END`` bootstrap commands;
 a replica runs a :class:`~repro.replication.follower.WalFollower` that
 continuously fetches the durable log tail, applies committed transactions
-through the same redo idiom crash recovery uses, and serves snapshot
+through the same redo routine crash recovery uses, and serves snapshot
 reads pinned at its replay watermark — stale-bounded, never fractured.
 A follower that falls below the leader's retained WAL base bootstraps
 itself through an online base backup (automatic full resync); a

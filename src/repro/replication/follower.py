@@ -5,11 +5,14 @@ leader's durable log tail in frames (in-process through a
 :class:`~repro.replication.leader.ReplicationHub`, or over the wire
 through :class:`RemoteSource`), buffers each transaction's data records
 until its COMMIT arrives, and then applies the whole transaction through
-the same idempotent redo idiom crash recovery uses
-(:func:`repro.core.recovery._redo_from_wal`): append the version, swing
-the VIDmap entrypoint, bump the allocator, insert index entries.
-Versions land **before** the commit-log flip, so a replica reader can
-never observe a half-applied transaction.
+the engine's one redo routine (:meth:`repro.core.engine.SiasVEngine.redo`,
+shared with crash recovery): under the item's stripe latch, append the
+version, swing the VIDmap entrypoint, bump the allocator; then insert
+the missing index entries.  The latch matters here: apply runs on the
+follower's own thread, outside the server's exclusive lane, so only the
+stripe keeps a replica GC pass from relocating a head over an applied
+swing.  Versions land **before** the commit-log flip, so a replica
+reader can never observe a half-applied transaction.
 
 Reads are pinned at the **replay watermark**: the leader's closed
 timestamp as of a frame the follower has fully caught up to.  Because
@@ -73,7 +76,6 @@ import struct
 from repro.common.errors import ReplicationError
 from repro.core.engine import SiasVEngine
 from repro.db.database import Database
-from repro.pages.layout import VersionRecord
 from repro.txn.commitlog import TxnState
 from repro.wal.records import WalRecord, WalRecordType
 
@@ -87,6 +89,21 @@ _REPL_MARKER = b"REPL"
 
 #: substring of the typed refusal that triggers an automatic resync
 _RESYNC_NEEDLE = "full resync required"
+
+
+def _replay(relation, vid: int, create_ts: int, tombstone: bool,
+            payload: bytes, skip) -> bool:
+    """Redo one shipped version plus its missing index entries."""
+    engine = relation.engine
+    if not isinstance(engine, SiasVEngine):
+        raise ReplicationError(
+            f"relation {relation.name!r} runs the SI baseline "
+            f"engine, which has no record-redo apply path")
+    if engine.redo(vid, create_ts, tombstone, payload, skip) is None:
+        return False
+    if not tombstone:
+        relation.index_missing(vid, relation.codec.decode(payload))
+    return True
 
 
 class RemoteSource:
@@ -442,35 +459,10 @@ class WalFollower:
 
     def _install_version(self, relation, vid: int, create_ts: int,
                          tombstone: bool, payload: bytes) -> None:
-        engine = relation.engine
-        if not isinstance(engine, SiasVEngine):
-            raise ReplicationError(
-                f"relation {relation.name!r} runs the SI baseline "
-                f"engine, which has no record-redo apply path")
-        current_tid = engine.vidmap.get(vid)
-        if current_tid is not None:
-            current = engine.store.read(current_tid)
-            if current.create_ts >= create_ts:
-                return
-        version = VersionRecord(
-            create_ts=create_ts,
-            vid=vid,
-            pred=current_tid,
-            tombstone=tombstone,
-            payload=payload,
-        )
-        new_tid = engine.store.append(version)
-        engine.vidmap.set(vid, new_tid)
-        if vid >= engine.allocator.high_water:
-            engine.allocator.allocate_block(
-                vid + 1 - engine.allocator.high_water)
-        if not tombstone:
-            row = relation.codec.decode(payload)
-            for definition, tree in relation.indexes.values():
-                key = definition.key_of(relation.schema, row)
-                if not tree.contains(key, vid):
-                    tree.insert(key, vid)
-        self.resync_records += 1
+        # skip a head at or past the image version (restarted resync)
+        if _replay(relation, vid, create_ts, tombstone, payload,
+                   lambda _tid, head: head.create_ts >= create_ts):
+            self.resync_records += 1
 
     def _sweep_absent(self, image_vids: dict[str, set[int]],
                       closed_ts: int, txids: list[int],
@@ -657,42 +649,14 @@ class WalFollower:
             raise ReplicationError(
                 f"shipped record names relation {record.relation_id}, "
                 f"which this replica does not have: schema mismatch")
-        engine = relation.engine
-        if not isinstance(engine, SiasVEngine):
-            raise ReplicationError(
-                f"relation {relation.name!r} runs the SI baseline "
-                f"engine, which has no record-redo apply path")
-        vid = record.item_id
-        current_tid = engine.vidmap.get(vid)
-        if current_tid is not None:
-            current = engine.store.read(current_tid)
-            # strictly newer only: an equal create_ts is this same
-            # transaction's *earlier* write to the vid (insert then
-            # update), whose successor must still be appended — whole
-            # re-delivered transactions are deduped via the commit log
-            # before any record reaches this point
-            if current.create_ts > record.txid:
-                return
-
-        version = VersionRecord(
-            create_ts=record.txid,
-            vid=vid,
-            pred=current_tid,
-            tombstone=record.type is WalRecordType.DELETE,
-            payload=record.payload,
-        )
-        new_tid = engine.store.append(version)
-        engine.vidmap.set(vid, new_tid)
-        if vid >= engine.allocator.high_water:
-            engine.allocator.allocate_block(
-                vid + 1 - engine.allocator.high_water)
-        if record.type is not WalRecordType.DELETE:
-            row = relation.codec.decode(record.payload)
-            for definition, tree in relation.indexes.values():
-                key = definition.key_of(relation.schema, row)
-                if not tree.contains(key, vid):
-                    tree.insert(key, vid)
-        self.applied_records += 1
+        # strictly newer heads only: an equal create_ts is this same
+        # transaction's *earlier* write to the vid (insert then update),
+        # whose successor must still be appended — whole re-delivered
+        # transactions are deduped via the commit log before this point
+        if _replay(relation, record.item_id, record.txid,
+                   record.type is WalRecordType.DELETE, record.payload,
+                   lambda _tid, head: head.create_ts > record.txid):
+            self.applied_records += 1
 
     # -- restart resume -----------------------------------------------------
 
@@ -741,12 +705,9 @@ class WalFollower:
         for record in reversed(self.db.wal.durable_records()):
             if (record.type is WalRecordType.CHECKPOINT
                     and record.payload.startswith(_REPL_MARKER)):
-                if len(record.payload) >= len(_REPL_MARKER) + 16:
-                    watermark, epoch = struct.unpack_from(
-                        "<qq", record.payload, len(_REPL_MARKER))
-                    return record.item_id, watermark, epoch
-                # bare legacy tag: resume the seq, re-learn the rest
-                return record.item_id, 0, 0
+                watermark, epoch = struct.unpack_from(
+                    "<qq", record.payload, len(_REPL_MARKER))
+                return record.item_id, watermark, epoch
         return 0, 0, 0
 
     # -- local checkpoints ---------------------------------------------------

@@ -77,11 +77,6 @@ class FlashDevice(BlockDevice):
         """Physical programs per host write (device-internal view)."""
         return self.ftl.stats.write_amplification
 
-    @property
-    def erase_count_total(self) -> int:
-        """Total block erases performed by the device so far."""
-        return self.ftl.stats.erases
-
     def wear_stats(self) -> tuple[int, int, float]:
         """``(min, max, mean)`` per-block erase counts."""
         return self.ftl.wear_stats()

@@ -81,11 +81,6 @@ class PageMappedFtl:
         """Physical page currently mapped to ``lpn`` (None if unmapped)."""
         return self._l2p.get(lpn)
 
-    @property
-    def free_block_count(self) -> int:
-        """Blocks in the erased pool (excluding the active block)."""
-        return len(self._free_blocks)
-
     def valid_pages_in(self, block: int) -> int:
         """Valid (live) physical pages in ``block``."""
         return self._valid_count[block]

@@ -72,10 +72,6 @@ class CommitLog:
                 f"{target.value}")
         self._states[txid] = target
 
-    def is_prepared(self, txid: int) -> bool:
-        """True iff the transaction is prepared and awaiting its fate."""
-        return self._states.get(txid) is TxnState.PREPARED
-
     def is_committed(self, txid: int) -> bool:
         """True iff the transaction committed."""
         return self._states.get(txid) is TxnState.COMMITTED

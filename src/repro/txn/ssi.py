@@ -99,10 +99,6 @@ class SsiTracker:
         with self._mu:
             self._states[txn.txid] = _SsiState(txn=txn)
 
-    def is_tracked(self, txid: int) -> bool:
-        """Whether the txid belongs to a tracked serializable txn."""
-        return txid in self._states
-
     def before_commit(self, txn: Transaction) -> None:
         """Commit-time gate: a doomed transaction dies here at the latest.
 

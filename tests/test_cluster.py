@@ -192,7 +192,7 @@ class TestParticipantCrashAfterPrepare:
 
 @pytest.fixture
 def two_shards():
-    """Two thread-mode shards, no router (tests bring their own)."""
+    """Two in-process shards, no router (tests bring their own)."""
     sup = ShardSupervisor(SupervisorConfig(
         shards=2, idle_timeout_sec=30.0, drain_timeout_sec=2.0))
     sup.start()

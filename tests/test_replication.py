@@ -10,6 +10,8 @@ the ``failover`` fault sweep (``tests/test_sweeps.py``, CI's sweeps job).
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.client.pool import ConnectionPool, RetryPolicy
@@ -74,6 +76,51 @@ class TestApply:
         _leader, _hub, replica, follower = make_pair()
         read = follower.begin_read()
         assert read.txid >= REPLICA_TXID_BASE
+        replica.commit(read)
+
+
+class TestApplyVsReplicaGc:
+    def test_gc_relocation_cannot_erase_an_applied_commit(self):
+        """Apply runs on the follower's thread, outside the server's
+        exclusive lane, so a replica GC pass can be mid-relocation of the
+        very head the apply chains onto.  The relocation's entrypoint
+        swing must not overwrite the applied one: apply waits on the
+        item's stripe until the pass is done, then chains onto the
+        relocated copy."""
+        leader, _hub, replica, follower = make_pair(batch_limit=256)
+        seed(leader, [(i, f"o{i}", 0.0) for i in range(40)])
+        for round_no in range(1, 6):
+            txn = leader.begin()
+            for i in range(1, 40):
+                (ref, _), = leader.lookup(txn, "accounts", "pk", i)
+                leader.update(txn, "accounts", ref,
+                              (i, f"o{i}", float(round_no)))
+            leader.commit(txn)
+        follower.catch_up()  # row 0's insert: the one live slot of page 0
+        store = replica.tables["accounts"].engine.store
+        store.seal_working_page()
+
+        txn = leader.begin()
+        (ref, _), = leader.lookup(txn, "accounts", "pk", 0)
+        leader.update(txn, "accounts", ref, (0, "o0", 999.0))
+        leader.commit(txn)
+
+        applier = threading.Thread(target=follower.catch_up)
+        append = store.append
+
+        def first_relocation_starts_apply(record, *args, **kwargs):
+            store.append = append
+            applier.start()
+            applier.join(timeout=1.0)  # blocks on the stripe once fixed
+            return append(record, *args, **kwargs)
+
+        store.append = first_relocation_starts_apply
+        reports = replica.maintenance()
+        applier.join(timeout=30.0)
+        assert not applier.is_alive()
+        assert reports["accounts"].records_relocated >= 1
+        read = follower.begin_read()
+        assert balances(replica, read)[0] == 999.0
         replica.commit(read)
 
 
